@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.board.nets import Connection
 from repro.channels.workspace import RouteRecord, RoutingWorkspace
@@ -36,6 +36,11 @@ from repro.obs.sinks import NULL_SINK, EventSink
 
 #: Per-side wavefront mark: (hops from source, parent via, layer index used).
 Mark = Tuple[int, Optional[ViaPoint], Optional[int]]
+
+#: Per-side record of finished strip searches: (layer index, strip box)
+#: -> the via sites every uncapped ``reachable_vias`` call there returned,
+#: plus the vias those calls expanded (see :func:`_neighbors`).
+StripSites = Dict[Tuple[int, Box], Set[ViaPoint]]
 
 #: Weight on the lower bound in goal mode's ``g + W*lb`` heap ordering.
 #: 1 is textbook A*; the hard prunes and the meet bookkeeping use the
@@ -109,6 +114,7 @@ def _neighbors(
     stats: Optional[SearchStats] = None,
     budget: Optional[BudgetTracker] = None,
     clip: Optional[Box] = None,
+    strips: Optional[StripSites] = None,
 ) -> List[Tuple[ViaPoint, int]]:
     """All (neighbor via, layer index) pairs reachable in one hop.
 
@@ -119,6 +125,12 @@ def _neighbors(
     around the expanded via and its target, see :func:`_goal_clip`):
     sites outside it would be push-pruned anyway, so clipping them away
     here saves the gap scan that would have found them.
+
+    ``strips`` (classic search, one map per wavefront; requires
+    ``stats``) skips a layer whose strip already lists ``via``: the
+    wavefront has enumerated that free component once, uncapped, and
+    marked every site in it, so the call could only return sites the
+    caller drops as already marked.
     """
     point = workspace.grid.via_to_grid(via)
     result: List[Tuple[ViaPoint, int]] = []
@@ -135,7 +147,12 @@ def _neighbors(
             )
             if box.x_lo > box.x_hi or box.y_lo > box.y_hi:
                 continue
-        for n in reachable_vias(
+        if strips is not None:
+            key = (layer_index, box)
+            if via in strips.get(key, ()):
+                continue
+            cap_hits = stats.cap_hits
+        found = reachable_vias(
             layer,
             point,
             box,
@@ -144,7 +161,13 @@ def _neighbors(
             max_gaps,
             stats,
             budget,
-        ):
+        )
+        if strips is not None and stats.cap_hits == cap_hits:
+            # Uncapped: every site in ``found`` shares via's free
+            # component in the strip, so its own call here would return
+            # nothing outside ``found`` and ``via``.
+            strips.setdefault(key, set()).update(found, (via,))
+        for n in found:
             result.append((n, layer_index))
     return result
 
@@ -224,6 +247,11 @@ def lee_route(
         {b: (0, None, None)},
     )
     heaps: Tuple[list, list] = ([(0.0, 0, a)], [(0.0, 0, b)])
+    # Within one search the board, ``passable`` and every strip are
+    # fixed, and this loop marks every neighbor it is handed before its
+    # next pop (or stops at the meet), so each side needs the via sites
+    # of a strip component only once (see _neighbors).
+    strips: Tuple[StripSites, StripSites] = ({}, {})
     counter = itertools.count(1)
     best: List[Tuple[float, ViaPoint]] = [
         (float("inf"), a),
@@ -267,7 +295,8 @@ def lee_route(
         hops_p = marks[side][p][0]
         found_meet = None
         for n, layer_index in _neighbors(
-            workspace, p, radius, passable, max_gaps, stats, budget
+            workspace, p, radius, passable, max_gaps, stats, budget,
+            strips=strips[side],
         ):
             if n in marks[side]:
                 continue

@@ -266,8 +266,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(
         f"connectivity: {len(connectivity.nets)} nets, "
         f"{len(disconnected)} disconnected, "
-        f"{len(connectivity.broken_connections)} broken routes"
+        f"{len(connectivity.broken_connections)} broken routes, "
+        f"{len(connectivity.shorted_pins)} pins shared by nets"
     )
+    for pin_id, net_ids in list(connectivity.shorted_pins.items())[:20]:
+        print(f"  ERROR shorted pin {pin_id}: nets {net_ids}")
     ok = drc.clean and connectivity.fully_connected
     print("VERDICT:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
@@ -371,33 +374,29 @@ def _cmd_eco(args: argparse.Namespace) -> int:
             workspace=workspace,
             routed_by=routed_by,
         ) as session:
-            try:
-                for net_id in args.cut_net:
-                    stats = session.cut_nets([net_id])
-                    print(
-                        f"cut net {net_id}: {len(stats.dropped)} "
-                        f"connections dropped, {len(stats.ripped)} ripped"
-                    )
-                for part_id, origin in (
-                    _parse_move(spec) for spec in args.move_part
-                ):
-                    stats = session.move_part(part_id, origin)
-                    print(
-                        f"move part {part_id} -> {origin.vx},{origin.vy}: "
-                        f"{len(stats.invalidated)} invalidated, "
-                        f"{len(stats.cascades)} cascade rip-ups"
-                    )
-                for group in (
-                    _parse_pin_group(spec) for spec in args.add_net
-                ):
-                    stats = session.add_nets([group])
-                    print(
-                        f"add net over pins {group}: "
-                        f"{len(stats.added)} connections strung"
-                    )
-            except EcoError as exc:
-                print(f"ECO rejected: {exc}", file=sys.stderr)
-                return 2
+            for net_id in args.cut_net:
+                stats = session.cut_nets([net_id])
+                print(
+                    f"cut net {net_id}: {len(stats.dropped)} "
+                    f"connections dropped, {len(stats.ripped)} ripped"
+                )
+            for part_id, origin in (
+                _parse_move(spec) for spec in args.move_part
+            ):
+                stats = session.move_part(part_id, origin)
+                print(
+                    f"move part {part_id} -> {origin.vx},{origin.vy}: "
+                    f"{len(stats.invalidated)} invalidated, "
+                    f"{len(stats.cascades)} cascade rip-ups"
+                )
+            for group in (
+                _parse_pin_group(spec) for spec in args.add_net
+            ):
+                stats = session.add_nets([group])
+                print(
+                    f"add net over pins {group}: "
+                    f"{len(stats.added)} connections strung"
+                )
             response = session.reroute()
             result = response.result
             counters = response.counters
@@ -427,6 +426,9 @@ def _cmd_eco(args: argparse.Namespace) -> int:
                 return 2
             failed = result.failed
             total = len(session.connections)
+    except EcoError as exc:
+        print(f"ECO rejected: {exc}", file=sys.stderr)
+        return 2
     finally:
         if sink is not None:
             sink.close()

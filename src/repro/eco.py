@@ -69,7 +69,8 @@ class EcoError(ValueError):
     occupied destinations) before any state changes, and for a moved pin
     landing on immovable wiring (another pin or tesselation fill) — the
     latter can surface mid-edit, after which the session must be
-    considered spent.
+    considered spent.  Also raised when a session is opened over a
+    connection list naming a net or pin its board lacks.
     """
 
 
@@ -130,6 +131,27 @@ class EcoSession:
         self.config = config or RouterConfig()
         self.sink = sink if sink is not None else NULL_SINK
         self.workspace = workspace or RoutingWorkspace(board)
+        for conn in self.connections:
+            if not (
+                0 <= conn.net_id < len(board.nets)
+                and 0 <= conn.pin_a < len(board.pins)
+                and 0 <= conn.pin_b < len(board.pins)
+            ):
+                raise EcoError(
+                    f"connection {conn.conn_id} names a net or pin the "
+                    f"board lacks"
+                )
+        # A board loaded beside its connection file lists no terminators
+        # in its nets: the stringer that claimed them ran elsewhere.
+        # Every free pin a connection ends on joins that connection's
+        # net, as in-process stringing leaves it, so cut_nets frees it
+        # and add_nets cannot claim it for a second net.
+        for conn in self.connections:
+            for pin_id in (conn.pin_a, conn.pin_b):
+                pin = board.pins[pin_id]
+                if pin.net_id == -1:
+                    pin.net_id = conn.net_id
+                    board.nets[conn.net_id].pin_ids.append(pin_id)
         #: Strategy attribution for currently installed routes, carried
         #: across reroutes (the router only reports what *it* routed).
         self._routed_by: Dict[int, Strategy] = {

@@ -448,6 +448,9 @@ class RoutingServer:
 
             try:
                 payload = await self._loop.run_in_executor(None, adopt)
+            except EcoError as exc:
+                self.sessions.abort(managed)
+                raise HttpError(422, f"ECO rejected: {exc}")
             except Exception:
                 self.sessions.abort(managed)
                 raise

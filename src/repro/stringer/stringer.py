@@ -12,6 +12,7 @@ Net ordering is known to matter enormously — the paper reports a factor of
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, Optional, Sequence, Set
 
 from repro.board.board import Board
@@ -33,10 +34,20 @@ def chain_length(pins: Sequence[Pin]) -> int:
 
 
 class Stringer:
-    """Prepares router input from a board's signal nets."""
+    """Prepares router input from a board's signal nets.
+
+    A stringer serves one batch of stringing (one :meth:`string_all`, or
+    one ECO ``add_nets`` call): its terminator index is built from the
+    pins free on first use, so pins may be claimed while it lives but
+    must not be freed.
+    """
 
     def __init__(self, board: Board) -> None:
         self.board = board
+        #: Free terminator pins sorted by ``(vx, pin_id)``, with their
+        #: ``vx`` alongside; built on the first terminator query.
+        self._terminators: Optional[List[Pin]] = None
+        self._terminator_xs: List[int] = []
 
     # ------------------------------------------------------------------
     # per-net chaining
@@ -66,18 +77,42 @@ class Stringer:
     def _nearest_free_terminator(
         self, position, reserved: Set[int]
     ) -> Optional[Pin]:
-        """Nearest unclaimed terminating-resistor pin."""
-        candidates = [
-            p
-            for p in self.board.free_terminator_pins()
-            if p.pin_id not in reserved
-        ]
-        if not candidates:
-            return None
-        return min(
-            candidates,
-            key=lambda p: (manhattan(position, p.position), p.pin_id),
-        )
+        """Nearest unclaimed terminating-resistor pin.
+
+        Ties go to the lowest pin id.  The walk steps outward from
+        ``position`` in x, always to the side with the smaller |dx|, and
+        stops once |dx| alone exceeds the best distance found, so every
+        pin that could tie or beat it has been seen.
+        """
+        if self._terminators is None:
+            self._terminators = sorted(
+                self.board.free_terminator_pins(),
+                key=lambda p: (p.position.vx, p.pin_id),
+            )
+            self._terminator_xs = [p.position.vx for p in self._terminators]
+        pins, xs = self._terminators, self._terminator_xs
+        vx, vy = position
+        right = bisect_left(xs, vx)
+        left = right - 1
+        best: Optional[Pin] = None
+        best_key = None
+        while left >= 0 or right < len(xs):
+            if right == len(xs) or (
+                left >= 0 and vx - xs[left] < xs[right] - vx
+            ):
+                pin, dx = pins[left], vx - xs[left]
+                left -= 1
+            else:
+                pin, dx = pins[right], xs[right] - vx
+                right += 1
+            if best_key is not None and dx > best_key[0]:
+                break
+            if pin.net_id != -1 or pin.pin_id in reserved:
+                continue
+            key = (dx + abs(pin.position.vy - vy), pin.pin_id)
+            if best_key is None or key < best_key:
+                best, best_key = pin, key
+        return best
 
     def string_net(
         self, net: Net, reserved_terminators: Optional[Set[int]] = None
@@ -86,7 +121,9 @@ class Stringer:
 
         Tries every legal starting pin and keeps the shortest overall chain.
         For ECL nets the legal starts are the output pins (all outputs must
-        precede inputs); for TTL any pin may start.
+        precede inputs); for TTL any pin may start.  An ECL net that
+        already lists exactly one terminating resistor (a board saved
+        after stringing) ends every chain on it and claims no other.
         """
         reserved = (
             reserved_terminators if reserved_terminators is not None else set()
@@ -94,6 +131,12 @@ class Stringer:
         pins = [self.board.pins[i] for i in net.pin_ids]
         if len(pins) < 2:
             return pins
+        own: Optional[Pin] = None
+        if net.family.needs_termination:
+            members = [p for p in pins if p.role is PinRole.TERMINATOR]
+            if len(members) == 1:
+                own = members[0]
+                pins = [p for p in pins if p is not own]
         outputs = [p for p in pins if p.role is PinRole.OUTPUT]
         inputs = [p for p in pins if p.role is not PinRole.OUTPUT]
         if net.family.order_matters and outputs:
@@ -105,7 +148,7 @@ class Stringer:
         for start in starts:
             chain = self._greedy_chain(start, outputs, inputs)
             if net.family.needs_termination:
-                terminator = self._nearest_free_terminator(
+                terminator = own or self._nearest_free_terminator(
                     chain[-1].position, reserved
                 )
                 if terminator is None:
@@ -118,7 +161,7 @@ class Stringer:
                 best_length = length
                 best_chain = chain
         assert best_chain is not None
-        if net.family.needs_termination:
+        if net.family.needs_termination and own is None:
             terminator = best_chain[-1]
             reserved.add(terminator.pin_id)
             terminator.net_id = net.net_id

@@ -7,7 +7,8 @@ Two levels:
   at every layer change (flood fill over the link's own cells);
 * **net level** — a net's pins must form a connected graph through its
   routed connections, and for ECL nets a *chain* with the output at one
-  end and the terminating resistor at the other (Section 3).
+  end and the terminating resistor at the other (Section 3); no pin may
+  end connections of two different nets.
 """
 
 from __future__ import annotations
@@ -44,12 +45,18 @@ class ConnectivityReport:
 
     nets: List[NetStatus] = field(default_factory=list)
     broken_connections: List[int] = field(default_factory=list)
+    #: Pins that end connections of more than one net, mapped to those
+    #: nets (ascending): a short whatever the routes look like.
+    shorted_pins: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
 
     @property
     def fully_connected(self) -> bool:
-        """True if every net is connected and every route is a real path."""
-        return not self.broken_connections and all(
-            n.connected for n in self.nets
+        """True if every net is connected, every route is a real path
+        and no pin is shared between nets."""
+        return (
+            not self.broken_connections
+            and not self.shorted_pins
+            and all(n.connected for n in self.nets)
         )
 
 
@@ -179,8 +186,16 @@ def check_connectivity(
     """Verify every routed connection and every signal net."""
     report = ConnectivityReport()
     by_net: Dict[int, List[Connection]] = {}
+    pin_nets: Dict[int, Set[int]] = {}
     for conn in connections:
         by_net.setdefault(conn.net_id, []).append(conn)
+        for pin_id in (conn.pin_a, conn.pin_b):
+            pin_nets.setdefault(pin_id, set()).add(conn.net_id)
+    report.shorted_pins = {
+        pin_id: tuple(sorted(nets))
+        for pin_id, nets in sorted(pin_nets.items())
+        if len(nets) > 1
+    }
     for conn in connections:
         record = workspace.records.get(conn.conn_id)
         if record is not None and not connection_is_path(

@@ -1,5 +1,6 @@
 """Unit tests for the grr command-line interface."""
 
+import dataclasses
 import os
 
 import pytest
@@ -253,6 +254,35 @@ class TestEco:
         # The ECO'd outputs verify as a coherent routed board.
         assert main(["verify", board2, conns2, routes2]) == 0
         assert "VERDICT: PASS" in capsys.readouterr().out
+
+    def test_verify_fails_a_pin_shared_by_two_nets(self, files, capsys):
+        # Another net's connection ending on a terminator that already
+        # ends a net: the short the ECO stringer could once produce.
+        self._routed_fixture(files)
+        from repro.io import read_connections, write_connections
+
+        with open(files["conns"]) as f:
+            conns = read_connections(f)
+        last = conns[-1]
+        other = next(c for c in conns if c.net_id != last.net_id)
+        conns.append(
+            dataclasses.replace(
+                other, conn_id=last.conn_id + 1, pin_b=last.pin_b, b=last.b
+            )
+        )
+        with open(files["conns"], "w") as f:
+            write_connections(conns, f)
+        capsys.readouterr()
+        assert main(
+            ["verify", files["board"], files["conns"], files["routes"]]
+        ) == 1
+        out = capsys.readouterr().out
+        assert "1 pins shared by nets" in out
+        assert (
+            f"shorted pin {last.pin_b}: nets "
+            f"{tuple(sorted((last.net_id, other.net_id)))}" in out
+        )
+        assert "VERDICT: FAIL" in out
 
     def test_eco_noop_is_fast_path(self, files, capsys):
         self._routed_fixture(files)

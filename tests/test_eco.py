@@ -8,6 +8,9 @@ the slow marker — kept-pool parity across the mutate→reroute boundary.
 
 from __future__ import annotations
 
+import io
+from dataclasses import replace
+
 import pytest
 
 from repro.api import RouteRequest, begin_eco, reroute, route
@@ -18,6 +21,7 @@ from repro.core.result import Strategy
 from repro.core.router import RouterConfig
 from repro.eco import EcoError, EcoSession
 from repro.grid.coords import ViaPoint
+from repro.io import read_board, write_board
 from repro.obs.sinks import RingBufferSink
 from repro.stringer import Stringer
 from repro.verify import check_connectivity
@@ -182,6 +186,25 @@ class TestAddNets:
                 session.board, session.workspace, session.connections
             )
             assert report.fully_connected
+
+    def test_cut_then_readd_reuses_the_freed_terminator(self):
+        session, _, _ = _routed_session()
+        with session:
+            board = session.board
+            net = next(
+                n
+                for n in board.signal_nets
+                if n.family.needs_termination and len(n.pin_ids) >= 3
+            )
+            terminator = net.pin_ids[-1]
+            assert board.pins[terminator].role is PinRole.TERMINATOR
+            pins = net.pin_ids[:-1]
+            session.cut_nets([net.net_id])
+            assert board.pins[terminator].net_id == -1
+            stats = session.add_nets([pins])
+            new_net = board.nets[stats.net_ids[0]]
+            assert new_net.pin_ids == pins + [terminator]
+            assert session.connections[-1].pin_b == terminator
 
     def test_add_over_claimed_pins_rejected(self):
         session, _, _ = _routed_session()
@@ -361,6 +384,72 @@ class TestAttribution:
             assert response.result.routed_by == {
                 conn.conn_id: Strategy.PUTBACK
             }
+
+
+def _pin_nets(connections):
+    """Pin id -> the nets whose connections end on it."""
+    nets = {}
+    for conn in connections:
+        for pin_id in (conn.pin_a, conn.pin_b):
+            nets.setdefault(pin_id, set()).add(conn.net_id)
+    return nets
+
+
+class TestLoadedConnections:
+    """A session over a board loaded beside its connection file, whose
+    nets list no terminators because another process strung them."""
+
+    def _session(self):
+        text = io.StringIO()
+        write_board(make_titan_board("tna", scale=0.30, seed=2), text)
+        strung = read_board(io.StringIO(text.getvalue()))
+        connections = Stringer(strung).string_all()
+        board = read_board(io.StringIO(text.getvalue()))
+        assert not any(
+            board.pins[p].role is PinRole.TERMINATOR
+            for net in board.signal_nets
+            for p in net.pin_ids
+        )
+        return EcoSession(board, connections)
+
+    def test_session_claims_connection_end_pins(self):
+        with self._session() as session:
+            board = session.board
+            for conn in session.connections:
+                for pin_id in (conn.pin_a, conn.pin_b):
+                    assert board.pins[pin_id].net_id == conn.net_id
+                    assert pin_id in board.nets[conn.net_id].pin_ids
+            terminator = session.connections[-1].pin_b
+            net_id = session.connections[-1].net_id
+            session.cut_nets([net_id])
+            assert board.pins[terminator].net_id == -1
+
+    def test_connection_naming_a_missing_pin_is_rejected(self, empty_board):
+        conn = make_connection(empty_board, ViaPoint(3, 3), ViaPoint(15, 11))
+        foreign = replace(conn, conn_id=1, pin_b=len(empty_board.pins))
+        with pytest.raises(EcoError, match="board lacks"):
+            EcoSession(empty_board, [conn, foreign])
+        # Validation comes before any pin is claimed.
+        assert empty_board.nets[conn.net_id].pin_ids == [
+            conn.pin_a, conn.pin_b
+        ]
+
+    def test_added_net_takes_no_live_terminator(self):
+        with self._session() as session:
+            session.cut_nets([15])
+            stats = session.add_nets([[519, 85, 218, 270, 506, 58, 521]])
+            shared = {
+                pin_id: nets
+                for pin_id, nets in _pin_nets(session.connections).items()
+                if len(nets) > 1
+            }
+            assert shared == {}
+            report = check_connectivity(
+                session.board, session.workspace, session.connections
+            )
+            assert report.shorted_pins == {}
+            terminator = session.connections[-1].pin_b
+            assert session.board.pins[terminator].net_id == stats.net_ids[0]
 
 
 class _RaisingSink:

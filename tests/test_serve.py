@@ -436,6 +436,32 @@ class TestHttpEndpoints:
 
         self._run(scenario)
 
+    def test_adopting_a_foreign_connection_list_is_rejected(self):
+        board_text, conn_text, board, _ = _board_texts()
+        bad_pin = len(board.pins)
+        lines = conn_text.splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("conn "))
+        fields = lines[i].split()
+        fields[4] = str(bad_pin)
+        lines[i] = " ".join(fields)
+
+        async def scenario(server, host, port):
+            status, payload = await _call(
+                host, port, "POST", "/eco/begin",
+                {
+                    "session": "foreign",
+                    "board": board_text,
+                    "connections": "\n".join(lines) + "\n",
+                    "routes": "",
+                },
+            )
+            assert status == 422
+            assert "board lacks" in payload["error"]
+            status, listing = await _call(host, port, "GET", "/sessions")
+            assert listing["sessions"] == []
+
+        self._run(scenario)
+
     def test_mutate_validation_and_unknown_paths(self):
         async def scenario(server, host, port):
             status, _ = await _call(

@@ -1,5 +1,7 @@
 """Unit tests for the stringer (Section 3)."""
 
+import io
+
 import pytest
 
 from repro.board.board import Board
@@ -7,8 +9,10 @@ from repro.board.nets import NetKind
 from repro.board.parts import PinRole, sip_package
 from repro.board.technology import LogicFamily
 from repro.grid.coords import ViaPoint, manhattan
+from repro.io import read_board, write_board
 from repro.stringer import Stringer, StringingError, random_stringing
 from repro.stringer.stringer import chain_length
+from repro.workloads import make_titan_board
 
 
 @pytest.fixture
@@ -92,6 +96,58 @@ class TestGreedyChain:
         net = board.add_net([a.pin_id, b.pin_id])  # ECL, no terminators
         with pytest.raises(StringingError):
             Stringer(board).string_net(net)
+
+
+class TestOwnTerminator:
+    """An ECL net that already lists its terminator (a board saved
+    after stringing) ends on it and claims no other."""
+
+    def test_member_terminator_ends_the_chain(self, board):
+        out = add_pin(board, ViaPoint(0, 5), PinRole.OUTPUT)
+        own = add_pin(board, ViaPoint(2, 5), PinRole.TERMINATOR)
+        inp = add_pin(board, ViaPoint(5, 5), PinRole.INPUT)
+        spare = add_pin(board, ViaPoint(6, 5), PinRole.TERMINATOR)
+        net = board.add_net([out.pin_id, own.pin_id, inp.pin_id])
+        chain = Stringer(board).string_net(net)
+        assert [p.pin_id for p in chain] == [out.pin_id, inp.pin_id, own.pin_id]
+        assert net.pin_ids == [out.pin_id, own.pin_id, inp.pin_id]
+        assert spare.net_id == -1
+
+    def test_no_free_terminator_needed(self, board):
+        out = add_pin(board, ViaPoint(0, 5), PinRole.OUTPUT)
+        own = add_pin(board, ViaPoint(9, 5), PinRole.TERMINATOR)
+        net = board.add_net([out.pin_id, own.pin_id])
+        chain = Stringer(board).string_net(net)
+        assert [p.pin_id for p in chain] == [out.pin_id, own.pin_id]
+
+    def test_two_member_terminators_still_claim_a_third(self, board):
+        out = add_pin(board, ViaPoint(0, 5), PinRole.OUTPUT)
+        t1 = add_pin(board, ViaPoint(2, 5), PinRole.TERMINATOR)
+        t2 = add_pin(board, ViaPoint(4, 5), PinRole.TERMINATOR)
+        spare = add_pin(board, ViaPoint(6, 5), PinRole.TERMINATOR)
+        net = board.add_net([out.pin_id, t1.pin_id, t2.pin_id])
+        chain = Stringer(board).string_net(net)
+        assert chain[-1].pin_id == spare.pin_id
+        assert spare.net_id == net.net_id
+
+    @pytest.mark.parametrize(
+        "config, seed",
+        [("tna", 1), ("tna", 2), ("icache", 2), ("kdj11_2l", 1)],
+    )
+    def test_saved_strung_board_restrings_identically(self, config, seed):
+        board = make_titan_board(config, scale=0.30, seed=seed)
+        first = Stringer(board).string_all()
+        stream = io.StringIO()
+        write_board(board, stream)
+        stream.seek(0)
+        reloaded = read_board(stream)
+        second = Stringer(reloaded).string_all()
+        assert [(c.conn_id, c.net_id, c.pin_a, c.pin_b) for c in second] == [
+            (c.conn_id, c.net_id, c.pin_a, c.pin_b) for c in first
+        ]
+        assert [n.pin_ids for n in reloaded.nets] == [
+            n.pin_ids for n in board.nets
+        ]
 
 
 class TestStringAll:

@@ -1,5 +1,7 @@
 """Unit tests for the net-level connectivity verifier."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.router import GreedyRouter
@@ -47,6 +49,32 @@ class TestFullBoard:
         for conn in connections:
             record = ws.records[conn.conn_id]
             assert connection_is_path(ws, conn, record)
+
+
+class TestSharedPins:
+    def test_clean_board_has_none(self, routed):
+        board, connections, ws = routed
+        assert check_connectivity(board, ws, connections).shorted_pins == {}
+
+    def test_pin_ending_two_nets_fails_the_board(self, routed):
+        # A connection of another net ending on this net's terminator:
+        # every net still reads connected, yet the board is shorted.
+        board, connections, ws = routed
+        ecl = next(c for c in connections if c.family.needs_termination)
+        victim = next(c for c in connections if c.net_id != ecl.net_id)
+        extra = dataclasses.replace(
+            victim,
+            conn_id=max(c.conn_id for c in connections) + 1,
+            pin_b=ecl.pin_b,
+            b=ecl.b,
+        )
+        report = check_connectivity(board, ws, connections + [extra])
+        assert report.shorted_pins == {
+            ecl.pin_b: tuple(sorted((ecl.net_id, victim.net_id)))
+        }
+        assert all(n.connected for n in report.nets)
+        assert report.broken_connections == []
+        assert not report.fully_connected
 
 
 class TestBrokenBoards:

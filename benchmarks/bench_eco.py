@@ -12,7 +12,7 @@ identical mutated problem), and measure
 Both legs must finish **bit-identically connected**: same completed
 connection set, full net connectivity on both workspaces (asserted on
 every run, never opt-in).  The wall-clock ratio ``eco / full`` is the
-payoff of the delta substrate; CI gates it on one pinned board so a
+payoff of keeping the session warm; CI gates it on one pinned board so a
 regression that makes incremental rerouting pointless fails the build:
 
     PYTHONPATH=src python benchmarks/bench_eco.py --smoke \\

@@ -1,6 +1,6 @@
 """Fastpath backend: numpy-vs-python wall time under a parity assertion.
 
-Routes Table 1 boards twice per round at ``workers=1`` — once with
+Routes Table 1 boards twice per round — once with
 ``backend="python"`` (the zero-dependency default) and once with
 ``backend="numpy"`` (the :mod:`repro.core.fastpath` kernels) — and
 records the wall-time ratio.  Every pair of runs must produce

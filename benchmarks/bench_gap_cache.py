@@ -1,6 +1,6 @@
 """C1 — Generation-stamped free-gap cache: wall time and hit rate.
 
-Routes the Table 1 suite twice per board at ``workers=1`` — once with
+Routes the Table 1 suite twice per board — once with
 the :class:`repro.channels.gap_cache.GapCache` disabled (the pre-cache
 recompute-per-search behaviour) and once with it enabled (the default) —
 and records the wall-time improvement plus the cache hit rate of the
@@ -8,9 +8,9 @@ enabled run.  Cached and uncached runs must complete exactly the same
 connection set; any divergence exits non-zero.
 
 ``--audit`` additionally re-routes every board under full invariant
-auditing (``GRR_AUDIT`` semantics) both serially and at ``workers=4``,
-proving the cache never serves a stale gap list in either execution
-mode — the auditor re-derives the channel state the cache claims.
+auditing (``GRR_AUDIT`` semantics), proving the cache never serves a
+stale gap list — the auditor re-derives the channel state the cache
+claims.
 
 Results land in ``BENCH_cache.json``.  The hit-rate assertion
 (``--assert-hit-rate``) is CI's gate; the wall-clock assertions are
@@ -30,7 +30,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import os
@@ -58,9 +57,6 @@ from repro.workloads import TITAN_CONFIGS, make_titan_board
 #: Scale of the Table 1 suite (matches bench_table1.py).
 SUITE_SCALE = 0.30
 
-#: Worker count of the parallel audit leg.
-AUDIT_WORKERS = 4
-
 #: Timing legs take the best of this many interleaved off/on rounds —
 #: routing is deterministic, only runner noise varies.  Shared runners
 #: drift by tens of percent over a process lifetime, so rounds alternate
@@ -87,7 +83,6 @@ def _route_once(
     name: str,
     scale: float,
     gap_cache: bool,
-    workers: int = 1,
     audit: bool = False,
     repeats: int = 1,
 ) -> Tuple[Dict, set]:
@@ -103,9 +98,7 @@ def _route_once(
     seconds = None
     for _ in range(repeats):
         board, connections = _problem(name, scale)
-        config = RouterConfig(workers=workers)
-        if audit:
-            config = dataclasses.replace(config, audit=True)
+        config = RouterConfig(audit=True) if audit else RouterConfig()
         workspace = RoutingWorkspace(board, gap_cache=gap_cache)
         router = make_router(board, config, workspace=workspace)
         # Cyclic-GC pauses land on whichever leg happens to cross an
@@ -191,22 +184,17 @@ def run_benchmark(
         # Audit legs run after every timing leg so their (much slower,
         # instrumented) routing cannot pollute the wall-time comparison.
         for row in rows:
-            audited: Dict[str, Dict] = {}
-            for label, workers in (("serial", 1), ("parallel", AUDIT_WORKERS)):
-                # An audit failure raises out of route(); reaching the
-                # measurement means every post-pass/post-merge invariant
-                # check passed with the cache in play.
-                measured, _ = _route_once(
-                    row["board"], SUITE_SCALE, gap_cache=True,
-                    workers=workers, audit=True,
-                )
-                audited[label] = {
-                    "workers": workers,
-                    "seconds": measured["seconds"],
-                    "complete": measured["complete"],
-                    "audit_passed": True,
-                }
-            row["audited"] = audited
+            # An audit failure raises out of route(); reaching the
+            # measurement means every post-pass invariant check passed
+            # with the cache in play.
+            measured, _ = _route_once(
+                row["board"], SUITE_SCALE, gap_cache=True, audit=True
+            )
+            row["audited"] = {
+                "seconds": measured["seconds"],
+                "complete": measured["complete"],
+                "audit_passed": True,
+            }
             print(f"{row['board']:6s} audit=ok", flush=True)
     off_total = sum(r["cache_off"]["seconds"] for r in rows)
     on_total = sum(r["cache_on"]["seconds"] for r in rows)
@@ -255,7 +243,7 @@ def run_benchmark(
     }
     if pre_pr_seconds is not None:
         # Reference total measured on a checkout of the pre-PR commit
-        # (same suite, same scale, workers=1) — the anchor for the PR's
+        # (same suite, same scale) — the anchor for the PR's
         # end-to-end wall-time claim.
         report["summary"]["pre_pr_seconds"] = round(pre_pr_seconds, 3)
         report["summary"]["pre_pr_ref"] = pre_pr_ref
@@ -276,7 +264,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--audit",
         action="store_true",
         help="also route every board under GRR_AUDIT-style invariant "
-        f"auditing, serial and workers={AUDIT_WORKERS}",
+        "auditing",
     )
     parser.add_argument(
         "--out",

@@ -1,6 +1,6 @@
 """Goal-oriented search: classic-vs-goal expansions and wall time.
 
-Routes Table 1 boards twice per round at ``workers=1`` — once with
+Routes Table 1 boards twice per round — once with
 ``search="classic"`` (the paper's multiplicative wavefront heuristic)
 and once with ``search="goal"`` (A* over the reusable lower bounds of
 :mod:`repro.core.bounds`) — and records the Lee-expansion and
@@ -8,13 +8,9 @@ wall-time ratios.  The two modes legitimately produce different (both
 valid) routes, so the contract between them is *completion*: goal mode
 must route at least as many connections as classic on the gate board.
 
-Parity *within* goal mode is asserted unconditionally, mirroring the
-repo's existing guarantees:
-
-* python vs numpy backends — bit-identical fingerprints (routed_by,
-  state digest, expansions), skipped without numpy;
-* workers 1 vs 4 (forced pool) — identical routed set and completion,
-  the parallel-router criterion for complete runs.
+Parity *within* goal mode is asserted unconditionally: the python and
+numpy backends give bit-identical fingerprints (routed_by, state digest,
+expansions); skipped without numpy.
 
 A warm-bounds ECO leg reroutes an edited session and checks the
 :class:`repro.core.bounds.LowerBoundCache` carries across the edit: a
@@ -89,20 +85,13 @@ TIMING_REPEATS = 5
 
 
 def _route_once(
-    name: str, search: str, backend: str = "python", workers: int = 1
+    name: str, search: str, backend: str = "python"
 ) -> Tuple[float, Dict]:
     """Route one fresh board; returns (seconds, fingerprint)."""
     board = make_titan_board(name, scale=SUITE_SCALE, seed=SUITE_SEED)
     connections = Stringer(board).string_all()
     workspace = RoutingWorkspace(board)
-    config = RouterConfig(search=search, backend=backend, workers=workers)
-    if workers > 1:
-        config = RouterConfig(
-            search=search,
-            backend=backend,
-            workers=workers,
-            pool_auto_serial=False,
-        )
+    config = RouterConfig(search=search, backend=backend)
     router = make_router(board, config, workspace=workspace)
     gc.collect()
     gc.disable()
@@ -170,7 +159,7 @@ def _compare_board(name: str) -> Dict:
 
 
 def _goal_parity(name: str) -> Dict:
-    """Backend and worker parity within goal mode on one board."""
+    """Backend parity within goal mode on one board."""
     _, py_fp = _route_once(name, "goal", backend="python")
     backend_parity = None
     if HAVE_NUMPY:
@@ -184,22 +173,9 @@ def _goal_parity(name: str) -> Dict:
                         f"python={py_fp[key]!r} numpy={np_fp[key]!r}",
                         flush=True,
                     )
-    _, par_fp = _route_once(name, "goal", workers=4)
-    worker_parity = (
-        set(par_fp["routed_by"]) == set(py_fp["routed_by"])
-        and par_fp["complete"] == py_fp["complete"]
-    )
-    if not worker_parity:
-        print(
-            f"  goal worker mismatch: serial routed {py_fp['routed']} "
-            f"complete={py_fp['complete']}, workers=4 routed "
-            f"{par_fp['routed']} complete={par_fp['complete']}",
-            flush=True,
-        )
     return {
         "board": name,
         "backend_parity": backend_parity,  # None = numpy unavailable
-        "worker_parity": worker_parity,
     }
 
 
@@ -334,8 +310,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parity = report["parity"]
     if parity["backend_parity"] is False:
         failures.append("goal-mode python/numpy parity broken")
-    if not parity["worker_parity"]:
-        failures.append("goal-mode workers 1-vs-4 parity broken")
     if not report["eco"]["warm_reuse"]:
         failures.append(
             "ECO warm-bound reuse broken "
@@ -403,8 +377,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             for row in report["boards"]
         ),
         note=(
-            f"goal parity: backend={parity['backend_parity']}, "
-            f"workers={parity['worker_parity']}; ECO warm reuse: "
+            f"goal parity: backend={parity['backend_parity']}; "
+            f"ECO warm reuse: "
             f"cold_rebuilds={report['eco']['cold_rebuilds']}, "
             f"noop_lookups={report['eco']['noop_lookups']}, "
             f"edit_rebuilds={report['eco']['edit_rebuilds']}"

@@ -11,12 +11,7 @@ distributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - base install without [fast]
-    np = None
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.board.board import Board
 from repro.board.nets import Connection
@@ -24,13 +19,20 @@ from repro.channels.segment import FILL_OWNER
 from repro.channels.workspace import RoutingWorkspace
 from repro.grid.geometry import Box, Orientation
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
-def _require_numpy(what: str) -> None:
-    if np is None:
+
+def _require_numpy(what: str):
+    """numpy, imported on first use so the CLI starts without it."""
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - base install without [fast]
         raise ImportError(
             f"{what} returns numpy arrays; install the extra: "
             "pip install repro[fast]"
-        )
+        ) from None
+    return numpy
 
 
 def channel_occupancy(
@@ -39,7 +41,7 @@ def channel_occupancy(
     """Fraction of each channel's cells in use (0..1), one entry per
     channel of the layer.  Fill segments are excluded (they are
     temporary)."""
-    _require_numpy("channel_occupancy")
+    np = _require_numpy("channel_occupancy")
     layer = workspace.layers[layer_index]
     occupancy = np.zeros(layer.n_channels)
     for channel_index, channel in enumerate(layer.channels):
@@ -53,7 +55,7 @@ def channel_occupancy(
 def cell_usage_grid(workspace: RoutingWorkspace) -> "np.ndarray":
     """(ny, nx) array counting, per routing-grid cell, how many layers
     have copper there — the aggregate congestion picture."""
-    _require_numpy("cell_usage_grid")
+    np = _require_numpy("cell_usage_grid")
     grid = workspace.grid
     usage = np.zeros((grid.ny, grid.nx), dtype=np.int16)
     for layer in workspace.layers:
@@ -154,7 +156,7 @@ def render_congestion(
     cell: int = 3,
 ):
     """Grayscale congestion heatmap (darker = more layers occupied)."""
-    _require_numpy("render_congestion")
+    np = _require_numpy("render_congestion")
     from repro.viz.ppm import Canvas, write_ppm
 
     usage = cell_usage_grid(workspace)

@@ -2,7 +2,7 @@
 
 This module is the documented front door to the router (see
 ``docs/API.md``).  Everything else under :mod:`repro` — workspaces,
-strategy internals, the parallel fan-out — is implementation that may
+strategy internals, search kernels — is implementation that may
 shift between releases; :class:`RouteRequest`, :class:`RouteResponse`
 and :func:`route` are the surface that stays put.
 
@@ -156,8 +156,7 @@ class RouteResponse:
 def route(request: RouteRequest) -> RouteResponse:
     """Route one request; never raises on budget exhaustion.
 
-    Builds the router the config asks for (serial, or wave-parallel for
-    ``config.workers > 1``), routes, and packages the result with the
+    Builds the router, routes, and packages the result with the
     per-phase timings and counters from the router's profile.
     """
     router = make_router(
@@ -235,10 +234,10 @@ def begin_eco(request: RouteRequest, response: RouteResponse):
 def reroute(session, budget: Optional[RouteBudget] = None) -> RouteResponse:
     """Incrementally reroute an ECO session's pending connections.
 
-    The incremental entry point beside :func:`route`: surviving routes,
-    warm gap-cache entries and the session's kept worker pool are all
-    reused, and only connections the session's mutations invalidated
-    (plus anything that was already unrouted) are routed.  Shares
+    The incremental entry point beside :func:`route`: surviving routes
+    and warm gap-cache entries are reused, and only connections the
+    session's mutations invalidated (plus anything that was already
+    unrouted) are routed.  Shares
     ``route()``'s degradation contract — a ``budget`` that runs out
     yields a partial :class:`RouteResponse`, never an exception.
     """

@@ -144,20 +144,6 @@ class Board:
         part.origin = origin
         return moves
 
-    def relocate_pin(self, pin_id: int, position: ViaPoint) -> None:
-        """Move one pin's site bookkeeping (delta replay on replicas).
-
-        Replays the board-side half of an ECO part move on a workspace
-        replica (worker pool copies) so the invariant auditor's
-        pin-vs-via reconciliation stays coherent.  No validation: the
-        master already validated the move in :meth:`move_part`.
-        """
-        pin = self.pins[pin_id]
-        if self._occupied.get(pin.position) == pin_id:
-            del self._occupied[pin.position]
-        pin.position = position
-        self._occupied[position] = pin_id
-
     def part_can_fit(self, package: Package, origin: ViaPoint) -> bool:
         """True if every pin site is on-board and unoccupied."""
         for dx, dy in package.pin_offsets:

@@ -50,8 +50,7 @@ class Channel:
         #: Generation-stamped ``(generation, lo array, hi array)`` mirror
         #: of the segment bounds, built lazily by the fastpath free-gap
         #: kernel (:func:`repro.core.fastpath.free_gaps_vectorized`) and
-        #: discarded whenever the generation moves on.  Never pickled:
-        #: snapshots rebuild it on first vectorized probe.
+        #: discarded whenever the generation moves on.
         self.array_mirror: Optional[tuple] = None
         #: owner -> live segment count, maintained by add/remove so
         #: owner-presence probes (the gap cache's base/passable routing
@@ -295,29 +294,6 @@ class Channel:
         return (
             f"[{self._los[k]},{self._his[k]}] owned by {self._owners[k]}"
         )
-
-    # ------------------------------------------------------------------
-    # pickling: snapshots carry segments, not the numpy mirror
-    # ------------------------------------------------------------------
-
-    def __getstate__(self):
-        return (
-            self._los,
-            self._his,
-            self._owners,
-            self._owner_counts,
-            self.generation,
-        )
-
-    def __setstate__(self, state) -> None:
-        (
-            self._los,
-            self._his,
-            self._owners,
-            self._owner_counts,
-            self.generation,
-        ) = state
-        self.array_mirror = None
 
     def check_invariants(self) -> None:
         """Assert sortedness and disjointness (used by property tests)."""

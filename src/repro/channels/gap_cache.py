@@ -37,17 +37,6 @@ calls are unnecessary and a stale read is structurally impossible — the
 property the hypothesis suite and the :class:`~repro.obs.audit.
 WorkspaceAuditor` (run under ``GRR_AUDIT=1``) both verify.
 
-Snapshots (:meth:`RoutingWorkspace.snapshot`, used by parallel wave
-workers) carry the generations with the channels but *reset* the cache:
-entries are cheap to rebuild and shipping them to spawn-based workers
-would be pure pickling overhead.  Forked workers inherit the parent's
-warm cache copy-on-write, which stays coherent for the same reason the
-parent's does — the generations travel with the channels.  The same
-generation stamping is what lets pool workers keep their warm entries
-across :meth:`RoutingWorkspace.apply_delta`: a delta bumps exactly the
-generations of the channels it touches, so untouched channels keep
-serving cached lists while touched ones recompute on first probe.
-
 **Small channels are not memoized.**  Most channels on small boards hold
 only a handful of segments, and recomputing their gap list directly from
 the segment arrays is cheaper than the memo-key build, store lookups and
@@ -475,22 +464,3 @@ class GapCache:
         self.hits = 0
         self.misses = 0
         self.bypassed = 0
-
-    # ------------------------------------------------------------------
-    # pickling: snapshots carry generations, not cache entries
-    # ------------------------------------------------------------------
-
-    def __getstate__(self):
-        return (self.layer, self.enabled, self.bypass_threshold)
-
-    def __setstate__(self, state) -> None:
-        self.layer, self.enabled, self.bypass_threshold = state
-        self.hits = 0
-        self.misses = 0
-        self.bypassed = 0
-        self._entries = {}
-        # Warmup tallies restart with the entries; a self-bypass verdict
-        # already burned into ``bypass_threshold`` travels with it (same
-        # board, same probe rhythm).
-        self._probe_hits = 0
-        self._probe_total = 0

@@ -54,8 +54,6 @@ class LayerData:
         #: Resolved search backend ("python" or "numpy") consulted by the
         #: single-layer searches on every dispatch; set through
         #: :meth:`repro.channels.workspace.RoutingWorkspace.set_backend`.
-        #: Travels with pickled snapshots, so pool workers and forked
-        #: children inherit the selection automatically.
         self.backend = "python"
 
     # ------------------------------------------------------------------

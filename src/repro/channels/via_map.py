@@ -27,24 +27,9 @@ from typing import Callable, Dict, FrozenSet, Iterator, Optional, Set
 
 from repro.grid.coords import ViaPoint
 
+
 class _MixedMarker:
-    """Singleton marker that survives pickling with identity intact.
-
-    Workspace snapshots (:meth:`repro.channels.workspace.RoutingWorkspace.
-    snapshot`) round-trip the via map through pickle; ``is MIXED`` checks
-    must keep working in the copy, so the marker reduces to the module
-    singleton instead of a fresh anonymous object.
-    """
-
-    _instance: Optional["_MixedMarker"] = None
-
-    def __new__(cls) -> "_MixedMarker":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __reduce__(self):
-        return (_MixedMarker, ())
+    """Marker type of :data:`MIXED` (prints as ``MIXED``)."""
 
     def __repr__(self) -> str:
         return "MIXED"
@@ -64,7 +49,7 @@ class ViaMap:
         #: Flat row-major (vx * via_ny + vy) cover counts.
         self._count = array("i", [0]) * (via_nx * via_ny)
         #: Lazy zero-copy numpy view over ``_count`` (None until the
-        #: first :meth:`available_mask` call; never pickled).
+        #: first :meth:`available_mask` call).
         self._view = None
         self._sole: Dict[ViaPoint, object] = {}
         self._drilled: Dict[ViaPoint, int] = {}
@@ -248,14 +233,3 @@ class ViaMap:
     def drilled_sites(self) -> Dict[ViaPoint, int]:
         """Snapshot of every drilled via and its owner (for power planes)."""
         return dict(self._drilled)
-
-    # ------------------------------------------------------------------
-    # pickling: snapshots carry counts, not the numpy view
-    # ------------------------------------------------------------------
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        # The view is a zero-copy alias of ``_count``; pickling it would
-        # ship a detached copy that silently stops tracking updates.
-        state["_view"] = None
-        return state

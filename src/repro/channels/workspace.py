@@ -9,7 +9,6 @@ rip-up, putback and length tuning.
 from __future__ import annotations
 
 import hashlib
-import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Set, Tuple
 
@@ -97,9 +96,6 @@ class RoutingWorkspace:
         #: Lazily-built :class:`repro.core.bounds.LowerBoundCache` (the
         #: import is deferred — repro.core sits above repro.channels).
         self._lower_bounds = None
-        #: Active delta recorder (see :meth:`begin_delta`); None when the
-        #: route-level mutators are not being logged.
-        self._delta_log = None
         if install_pins:
             self.install_pins()
 
@@ -199,35 +195,6 @@ class RoutingWorkspace:
         for pin in self.board.pins:
             self.drill_via(pin.position, pin.owner_token)
 
-    def drill_pin(self, via: ViaPoint, owner: int) -> None:
-        """Drill one pin site, logging it into any active delta.
-
-        The ECO path (:mod:`repro.eco`) moves pins between routing
-        calls; unlike :meth:`install_pins` (which runs before any delta
-        recording exists) the change must reach a kept worker pool's
-        replicas, so it rides the delta log as an explicit op.
-        """
-        self.drill_via(via, owner)
-        if self._delta_log is not None:
-            self._delta_log.record_drill(via, owner)
-
-    def undrill_pin(self, via: ViaPoint, owner: int) -> None:
-        """Remove one pin site's via, logging it into any active delta."""
-        self.remove_via(via, owner)
-        if self._delta_log is not None:
-            self._delta_log.record_undrill(via, owner)
-
-    def note_pin_moved(self, pin_id: int, position: ViaPoint) -> None:
-        """Log a pin's board-side relocation into any active delta.
-
-        The board itself was already updated by
-        :meth:`Board.move_part`; this only records the fact so replicas
-        replaying the delta keep their own ``Board`` consistent with
-        the drilled vias (the auditor reconciles the two).
-        """
-        if self._delta_log is not None:
-            self._delta_log.record_move_pin(pin_id, position)
-
     # ------------------------------------------------------------------
     # route-level operations
     # ------------------------------------------------------------------
@@ -243,8 +210,6 @@ class RoutingWorkspace:
         if record.conn_id in self.records:
             raise ValueError(f"connection {record.conn_id} already routed")
         self.records[record.conn_id] = record
-        if self._delta_log is not None:
-            self._delta_log.record_add(record)
 
     def is_routed(self, conn_id: int) -> bool:
         """True if the connection currently has an installed route."""
@@ -258,8 +223,6 @@ class RoutingWorkspace:
         for via in record.vias:
             if self.via_map.drilled_owner(via) == conn_id:
                 self.via_map.undrill(via, conn_id)
-        if self._delta_log is not None:
-            self._delta_log.record_remove(conn_id)
         return record
 
     def restore_record(self, record: RouteRecord) -> bool:
@@ -285,168 +248,15 @@ class RoutingWorkspace:
         return True
 
     # ------------------------------------------------------------------
-    # snapshot / merge (parallel wave routing)
+    # canonical state (route identity across changes)
     # ------------------------------------------------------------------
-
-    def snapshot(self) -> "RoutingWorkspace":
-        """An independent deep copy of the whole workspace.
-
-        Parallel workers route against a snapshot while the master stays
-        untouched; their :class:`RouteRecord` results are merged back with
-        :meth:`apply_record`.  The copy is made with pickle (everything the
-        workspace holds is plain data), so it is also exactly what a
-        ``spawn``-based worker receives on the wire.  Fork-based pools get
-        the copy for free from the OS and never call this.
-
-        Channel generations are carried verbatim while the per-layer
-        :class:`~repro.channels.gap_cache.GapCache` entries are reset by
-        unpickling — the copy starts cold but coherent, and its own
-        mutations bump its own generations independently of the master's.
-        """
-        return pickle.loads(pickle.dumps(self, pickle.HIGHEST_PROTOCOL))
-
-    # ------------------------------------------------------------------
-    # incremental deltas (persistent pool synchronization)
-    # ------------------------------------------------------------------
-
-    def begin_delta(self) -> None:
-        """Start logging route-level mutations into a fresh delta.
-
-        Every :meth:`commit_record` and :meth:`remove_connection` until
-        the matching :meth:`end_delta` is appended, in order, to the
-        delta — the wave merge and the serial residue both mutate routes
-        exclusively through those two methods, so the log is exact.
-        Recording is not reentrant; a second ``begin_delta`` while one is
-        open is a protocol bug and raises.
-        """
-        from repro.channels.delta import WorkspaceDelta
-
-        if self._delta_log is not None:
-            raise RuntimeError("delta recording already active")
-        self._delta_log = WorkspaceDelta()
-
-    def end_delta(self):
-        """Stop logging and return the recorded :class:`WorkspaceDelta`."""
-        if self._delta_log is None:
-            raise RuntimeError("no delta recording active")
-        delta, self._delta_log = self._delta_log, None
-        return delta
-
-    @property
-    def delta_active(self) -> bool:
-        """True while route-level mutations are being logged."""
-        return self._delta_log is not None
-
-    def drain_delta(self):
-        """Return the ops recorded so far and keep recording.
-
-        The ECO session keeps one *continuous* recording open across
-        mutations and reroutes; each pool synchronization point drains
-        the log (ops since the previous drain) without closing it, so
-        no mutation can ever fall between two recording windows.
-        """
-        from repro.channels.delta import WorkspaceDelta
-
-        if self._delta_log is None:
-            raise RuntimeError("no delta recording active")
-        delta, self._delta_log = self._delta_log, WorkspaceDelta()
-        return delta
-
-    def apply_delta(self, delta) -> None:
-        """Replay a delta recorded on another workspace copy.
-
-        The ops replay in recorded order through the same primitives
-        routing uses, so generations bump exactly as on the source and
-        warm :class:`~repro.channels.gap_cache.GapCache` entries of
-        untouched channels stay valid.  The target must be at the sync
-        state the delta was recorded against; any op that does not apply
-        cleanly raises :class:`~repro.channels.delta.DeltaConflictError`
-        (state divergence is a protocol bug, not a routing condition).
-        """
-        from repro.channels.delta import (
-            OP_ADD,
-            OP_DRILL,
-            OP_MOVE_PIN,
-            OP_REMOVE,
-            OP_UNDRILL,
-            DeltaConflictError,
-        )
-
-        for op, payload in delta.ops:
-            if op == OP_ADD:
-                if payload.conn_id in self.records:
-                    raise DeltaConflictError(
-                        f"delta add of already-routed connection "
-                        f"{payload.conn_id}"
-                    )
-                if not self.restore_record(payload):
-                    raise DeltaConflictError(
-                        f"delta add of connection {payload.conn_id} "
-                        "collides with existing state"
-                    )
-            elif op == OP_REMOVE:
-                if payload not in self.records:
-                    raise DeltaConflictError(
-                        f"delta remove of unrouted connection {payload}"
-                    )
-                self.remove_connection(payload)
-            elif op == OP_DRILL:
-                via, owner = payload
-                try:
-                    self.drill_via(via, owner)
-                except (ChannelConflictError, ValueError) as exc:
-                    raise DeltaConflictError(
-                        f"delta drill at {via} does not apply: {exc}"
-                    ) from exc
-            elif op == OP_UNDRILL:
-                via, owner = payload
-                try:
-                    self.remove_via(via, owner)
-                except ValueError as exc:
-                    raise DeltaConflictError(
-                        f"delta undrill at {via} does not apply: {exc}"
-                    ) from exc
-            elif op == OP_MOVE_PIN:
-                pin_id, via = payload
-                try:
-                    self.board.relocate_pin(pin_id, via)
-                except (IndexError, KeyError) as exc:
-                    raise DeltaConflictError(
-                        f"delta pin move of {pin_id} does not apply: {exc}"
-                    ) from exc
-            else:
-                raise DeltaConflictError(f"unknown delta op {op!r}")
-
-    def __getstate__(self):
-        """Pickle everything except an active delta log.
-
-        Snapshots and spawn payloads must never carry a half-recorded
-        delta: the copy starts its own synchronization epoch.
-        """
-        state = self.__dict__.copy()
-        state["_delta_log"] = None
-        return state
-
-    def apply_record(self, record: RouteRecord) -> bool:
-        """Merge a route produced against a snapshot into this workspace.
-
-        Deterministic conflict detection for wave merging: the record is
-        installed if and only if every segment and via it claims is still
-        free here; otherwise the workspace is left untouched and False is
-        returned (the caller demotes the connection to a later wave).  A
-        connection that is already routed is a conflict by definition.
-        """
-        if record.conn_id in self.records:
-            return False
-        return self.restore_record(record)
 
     def canonical_state(self) -> Tuple:
         """Order-independent value equal for equal wiring states.
 
         Two workspaces that hold the same installed segments, drilled vias
         and route records compare equal regardless of the order mutations
-        were applied in — the merge tests use this to check that snapshot →
-        route → merge leaves the master identical to routing serially.
+        were applied in.
         """
         layers = tuple(
             tuple(
@@ -520,14 +330,17 @@ class RoutingWorkspace:
 
         ``backend`` must already be resolved ("python" or "numpy" — see
         :func:`repro.core.fastpath.resolve_backend`); the single-layer
-        searches dispatch on ``layer.backend`` at every call.  The
-        selection pickles with the layers, so snapshots, forked workers
-        and delta-synced pools inherit it without extra plumbing.
+        searches dispatch on ``layer.backend`` at every call.  Selecting
+        "numpy" imports it (:func:`repro.core.fastpath.load_numpy`).
         """
         if backend not in ("python", "numpy"):
             raise ValueError(
                 f"set_backend wants a resolved backend, got {backend!r}"
             )
+        if backend == "numpy":
+            from repro.core.fastpath import load_numpy
+
+            load_numpy()
         for layer in self.layers:
             layer.backend = backend
 
@@ -552,11 +365,8 @@ class RoutingWorkspace:
         """The goal-mode lower-bound cache, built on first use.
 
         Shares the workspace's lifetime the way the per-layer gap caches
-        do: snapshots carry it (cold — entries are dropped in pickling,
-        and rebuilt values are pure functions of board state, so warm
-        and cold replicas can never disagree), and ECO edits or delta
-        replays invalidate entries purely through the via map's row and
-        column generation stamps.
+        do; ECO edits invalidate entries purely through the via map's
+        row and column generation stamps.
         """
         if self._lower_bounds is None:
             from repro.core.bounds import LowerBoundCache

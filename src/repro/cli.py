@@ -32,6 +32,7 @@ from repro.core.router import GreedyRouter, RouterConfig, make_router
 from repro.io import (
     FORMAT_KICAD,
     FormatError,
+    InputError,
     detect_format,
     load_board,
     load_routes,
@@ -72,9 +73,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
     connections = list(loaded.pending)
     from repro.core.budget import STOP_DEADLINE, RouteBudget
 
-    config = RouterConfig(
-        radius=args.radius, cost=args.cost, workers=args.workers
-    )
+    config = RouterConfig(radius=args.radius, cost=args.cost)
     if args.backend is not None:
         # --backend forces it; otherwise the GRR_BACKEND env default holds.
         config = dataclasses.replace(config, backend=args.backend)
@@ -107,18 +106,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
     finally:
         if sink is not None:
             sink.close()
-    if args.workers > 1:
-        if result.auto_serial:
-            print(
-                "parallel: auto-serial (board below the pool's size "
-                "threshold; routed by the serial strategy stack)"
-            )
-        else:
-            print(
-                f"parallel: {args.workers} workers, {result.waves} waves, "
-                f"{result.demoted} demoted"
-                + (", serial fallback" if result.fallback_serial else "")
-            )
     if sink is not None:
         print(f"trace: {sink.emitted} events -> {args.trace}")
     if config.audit:
@@ -344,9 +331,7 @@ def _cmd_eco(args: argparse.Namespace) -> int:
     loaded, workspace, restored, routes_out = _load_eco_inputs(args)
     board = loaded.board
     connections = list(loaded.connections)
-    config = RouterConfig(
-        radius=args.radius, cost=args.cost, workers=args.workers
-    )
+    config = RouterConfig(radius=args.radius, cost=args.cost)
     if args.backend is not None:
         config = dataclasses.replace(config, backend=args.backend)
     if args.search is not None:
@@ -553,7 +538,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        workers=args.workers,
         max_concurrent=args.max_concurrent,
         max_queue_depth=args.queue_depth,
         default_deadline_seconds=args.timeout,
@@ -642,12 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["unit", "distance", "distance_hops"],
     )
     p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for parallel wave routing (1 = serial)",
-    )
-    p.add_argument(
         "--backend",
         choices=BACKENDS,
         default=None,
@@ -690,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--audit",
         action="store_true",
-        help="verify workspace invariants after every pass/merge "
+        help="verify workspace invariants after every pass "
         "(also enabled by GRR_AUDIT=1)",
     )
     p.add_argument(
@@ -785,7 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="distance_hops",
         choices=["unit", "distance", "distance_hops"],
     )
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--backend", choices=BACKENDS, default=None)
     p.add_argument("--search", choices=SEARCH_MODES, default=None)
     p.add_argument("--timeout", type=float, metavar="SECS", default=None)
@@ -846,12 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8747)
     p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="default worker processes per routing job (1 = serial)",
-    )
-    p.add_argument(
         "--max-concurrent",
         type=int,
         default=2,
@@ -877,8 +848,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="SECS",
         default=300.0,
-        help="evict warm sessions idle longer than this (worker pools "
-        "and caches are freed on eviction)",
+        help="evict warm sessions idle longer than this (their "
+        "workspaces and caches are freed on eviction)",
     )
     p.add_argument(
         "--trace",
@@ -897,10 +868,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for the ``grr`` console script."""
+    """Entry point for the ``grr`` console script.
+
+    Unusable input (a malformed file, a connection naming a net or pin
+    the board lacks) prints one line and exits 2; exit 1 stays reserved
+    for routing failures.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(
+            f"grr {args.command}: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
+        return 2
 
 
 if __name__ == "__main__":

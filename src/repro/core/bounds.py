@@ -41,12 +41,12 @@ The stamps are the via map's per-row/per-column mutation generations
 the same ``add_segment``/``remove_segment`` funnel that bumps
 ``Channel.generation`` — an entry goes stale exactly when a mutation
 touches the via rows or columns of its arrival bands, so warm entries
-survive across connections, waves, and ECO edits untouched by the bands.
+survive across connections and ECO edits untouched by the bands.
 
 Because a rebuilt entry is a pure function of current board state (never
 of cache history), warm and cold caches always serve identical values —
-the property that makes python/numpy and workers 1-vs-4 parity *within*
-goal mode structurally safe.  The band scan itself dispatches on the
+the property that makes python/numpy parity *within* goal mode
+structurally safe.  The band scan itself dispatches on the
 workspace backend: the scalar loop and the
 :func:`repro.core.fastpath.band_available_kernel` numpy twin probe the
 same sites in the same order (``ViaMap.probe_count`` included).
@@ -380,19 +380,6 @@ class LowerBoundCache:
             target, radius, has_h, has_v,
             d_left, d_right, d_down, d_up, stamp,
         )
-
-    # ------------------------------------------------------------------
-    # pickling: snapshots start cold, like the gap cache
-    # ------------------------------------------------------------------
-
-    def __getstate__(self):
-        return self.workspace
-
-    def __setstate__(self, workspace) -> None:
-        self.workspace = workspace
-        self._entries = {}
-        self.hits = 0
-        self.rebuilds = 0
 
 
 def chain_cost(waypoints: List[ViaPoint]) -> int:

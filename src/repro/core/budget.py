@@ -108,11 +108,10 @@ class RouteBudget:
 class BudgetTracker:
     """Runtime clock for one routing call's :class:`RouteBudget`.
 
-    One tracker is created per top-level ``route()`` call (the parallel
-    router shares its tracker with the serial residue phase so the whole
-    call honors one deadline).  Exhaustion is *latched*: once the total
-    deadline has been observed exceeded the tracker keeps reporting it,
-    so every later checkpoint unwinds instead of re-measuring.
+    One tracker is created per top-level ``route()`` call.  Exhaustion
+    is *latched*: once the total deadline has been observed exceeded the
+    tracker keeps reporting it, so every later checkpoint unwinds
+    instead of re-measuring.
     """
 
     __slots__ = (
@@ -205,11 +204,11 @@ class BudgetTracker:
         return False
 
     # ------------------------------------------------------------------
-    # coarse checkpoints (pass / wave / connection granularity)
+    # coarse checkpoints (pass / connection granularity)
     # ------------------------------------------------------------------
 
     def checkpoint(self, context: str) -> None:
-        """Record a coarse progress checkpoint (pass or wave boundary)."""
+        """Record a coarse progress checkpoint (pass boundary)."""
         if not self.budget.timed:
             return
         self.checkpoints += 1

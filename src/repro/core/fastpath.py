@@ -50,13 +50,15 @@ via ranges, chain trimming).  The hypothesis suite in
 states and full boards to hold this contract.
 
 numpy stays an *optional* dependency (``pip install repro[fast]``):
-importing this module without numpy is fine, ``"auto"`` quietly falls
-back, and only an explicit ``backend="numpy"`` raises.
+importing this module never imports numpy (:func:`load_numpy` does, on
+first use), ``"auto"`` quietly falls back when it is missing, and only
+an explicit ``backend="numpy"`` raises.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from importlib.util import find_spec
 from typing import TYPE_CHECKING, FrozenSet, List, Optional, Tuple
 
 # Bound as a module (not ``from ... import SEARCH_CHECK_MASK``) because
@@ -74,13 +76,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.budget import BudgetTracker
     from repro.core.single_layer import SearchStats, _FreeSpace
 
-try:  # pragma: no cover - exercised via both CI backend legs
-    import numpy as _np
-except ImportError:  # pragma: no cover - the zero-dependency install
-    _np = None
-
 #: True when the numpy backend can be selected in this interpreter.
-HAVE_NUMPY = _np is not None
+HAVE_NUMPY = find_spec("numpy") is not None
+
+#: numpy once :func:`load_numpy` has imported it.  The import costs a
+#: fresh interpreter about as much as the rest of the CLI, so it waits
+#: until a workspace switches to the numpy backend.
+_np = None
 
 #: The three recognised spellings of ``RouterConfig.backend``.
 BACKENDS = ("auto", "python", "numpy")
@@ -97,6 +99,21 @@ MIN_VECTOR_SITES = 192
 #: the pure-python walk even on the numpy backend; building the segment
 #: array view costs more than the walk saves below this size.
 MIN_VECTOR_SEGMENTS = 48
+
+
+def load_numpy():
+    """Import numpy for the kernels below (once); returns the module.
+
+    :meth:`repro.channels.workspace.RoutingWorkspace.set_backend` calls
+    this when it selects ``"numpy"``, so the import happens while a
+    router is built, never inside a search.
+    """
+    global _np
+    if _np is None:
+        import numpy
+
+        _np = numpy
+    return _np
 
 
 def resolve_backend(requested: str) -> str:

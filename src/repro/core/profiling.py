@@ -33,7 +33,7 @@ class RouterProfile:
 
     phases: Dict[str, PhaseTiming] = field(default_factory=dict)
     #: Named event tallies (``gap_cache_hits``, ``gap_cache_misses``,
-    #: ``cap_hits``, ...) — merged across workers like the phases are.
+    #: ``cap_hits``, ...).
     counters: Dict[str, int] = field(default_factory=dict)
     #: Live nesting depth per phase; only the outermost ``measure`` of a
     #: phase accumulates wall time, so re-entrant calls don't double-count.
@@ -65,21 +65,6 @@ class RouterProfile:
     def bump(self, counter: str, amount: int = 1) -> None:
         """Add ``amount`` to one named counter."""
         self.counters[counter] = self.counters.get(counter, 0) + amount
-
-    def merge(self, other: "RouterProfile") -> "RouterProfile":
-        """Fold another profile's phases and counters into this one
-        (returns self).
-
-        Used by the parallel router to aggregate the per-worker profiles
-        returned from routing waves into the master profile.
-        """
-        for phase, timing in other.phases.items():
-            mine = self.phases.setdefault(phase, PhaseTiming())
-            mine.calls += timing.calls
-            mine.seconds += timing.seconds
-        for counter, amount in other.counters.items():
-            self.bump(counter, amount)
-        return self
 
     @property
     def total_seconds(self) -> float:

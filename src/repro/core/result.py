@@ -41,18 +41,6 @@ class RoutingResult:
     passes: int = 0
     cpu_seconds: float = 0.0
     lee_expansions: int = 0
-    #: Parallel wave routing statistics (zero for serial runs).
-    waves: int = 0
-    #: Wave-routed connections whose merge collided with an earlier route
-    #: and were demoted to a later wave or the serial residue.
-    demoted: int = 0
-    #: True when the parallel pipeline came up short and the whole board
-    #: was re-routed serially from scratch (parity fallback).
-    fallback_serial: bool = False
-    #: True when the parallel router's size heuristic routed the whole
-    #: board serially without starting the worker pool (small or
-    #: congested boards, where waves cannot pay for themselves).
-    auto_serial: bool = False
     #: Why routing stopped short of completing every connection: one of
     #: ``"deadline"`` (wall-clock budget ran out), ``"stalled"`` (the
     #: §8.4 progress guard fired) or ``"max_passes"``.  None exactly when
@@ -62,11 +50,6 @@ class RoutingResult:
     #: ``"blocked"`` (every strategy exhausted), ``"deadline"`` (the call
     #: ran out of wall clock first) or ``"connection_timeout"``.
     failure_reasons: Dict[int, str] = field(default_factory=dict)
-    #: Wave workers relaunched after a crash / error / group deadline.
-    worker_retries: int = 0
-    #: Wave groups that exhausted their retry budget and were reassigned
-    #: to the serial residue pass.
-    degraded_groups: int = 0
 
     @property
     def routed_count(self) -> int:
@@ -147,11 +130,5 @@ class RoutingResult:
             "two_via": self.strategy_count(Strategy.TWO_VIA),
             "lee": self.strategy_count(Strategy.LEE),
             "putback": self.strategy_count(Strategy.PUTBACK),
-            "waves": self.waves,
-            "demoted": self.demoted,
-            "fallback_serial": self.fallback_serial,
-            "auto_serial": self.auto_serial,
             "stopped_reason": self.stopped_reason,
-            "worker_retries": self.worker_retries,
-            "degraded_groups": self.degraded_groups,
         }

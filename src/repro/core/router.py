@@ -119,36 +119,8 @@ class RouterConfig:
     #: short stall lets pass N+1 profit from space freed by pass N's
     #: rip-ups before declaring the problem impossible.
     max_stalled_passes: int = 2
-    #: Worker processes for parallel wave routing.  1 keeps the classic
-    #: serial router; >1 makes :func:`make_router` return a
-    #: :class:`repro.parallel.ParallelRouter` that bulk-routes spatially
-    #: disjoint groups concurrently and repairs the remainder serially.
-    workers: int = 1
-    #: Parallel runs that end incomplete discard their attempt and
-    #: re-route the whole board serially, so an incomplete parallel
-    #: result is always exactly the serial result (pure-accelerator
-    #: guarantee).  Disable for ablation of the fallback cost.
-    parity_fallback: bool = True
-    #: Relaunch attempts for a wave worker that crashes, errors, or blows
-    #: its group deadline before its group is degraded to the serial
-    #: residue pass.
-    worker_retries: int = 2
-    #: Base backoff before a worker relaunch; doubles per attempt.
-    worker_backoff_seconds: float = 0.05
-    #: Let the parallel router skip the worker pool and route serially
-    #: when the board is too small or too congested for waves to pay
-    #: (see :func:`repro.parallel.partition.pool_decision`).  Off forces
-    #: the pool regardless of board size (tests, ablation).
-    pool_auto_serial: bool = True
-    #: Minimum estimated routing demand (grid units of wire, summed over
-    #: connections) before the pool is worth its startup cost.
-    pool_min_demand: int = 50_000
-    #: Maximum demand/supply utilization for wave routing: above this
-    #: the board is congested enough that wave-routed groups poison the
-    #: serial residue, so the whole call routes serially instead.
-    pool_max_utilization: float = 0.20
-    #: Run the :class:`repro.obs.WorkspaceAuditor` after every pass
-    #: (and after every parallel merge), raising on any violation.
+    #: Run the :class:`repro.obs.WorkspaceAuditor` after every pass,
+    #: raising on any violation.
     #: Defaults on when the ``GRR_AUDIT`` environment variable is set.
     audit: bool = field(default_factory=_audit_default)
     #: Search-kernel backend for the single-layer hot loops:
@@ -168,16 +140,6 @@ class RouterConfig:
     def __post_init__(self) -> None:
         if self.radius < 0:
             raise ValueError("radius must be non-negative")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.worker_retries < 0:
-            raise ValueError("worker_retries must be non-negative")
-        if self.worker_backoff_seconds < 0:
-            raise ValueError("worker_backoff_seconds must be non-negative")
-        if self.pool_min_demand < 0:
-            raise ValueError("pool_min_demand must be non-negative")
-        if self.pool_max_utilization < 0:
-            raise ValueError("pool_max_utilization must be non-negative")
         if self.cost not in COST_FUNCTIONS:
             raise ValueError(
                 f"unknown cost function {self.cost!r}; "
@@ -200,28 +162,18 @@ class RouterConfig:
         return COST_FUNCTIONS[self.cost]
 
 
-
 def make_router(
     board: Board,
     config: Optional[RouterConfig] = None,
     workspace: Optional[RoutingWorkspace] = None,
     sink: Optional[EventSink] = None,
 ):
-    """Build the router the config asks for.
+    """Build the router for a board: a :class:`GreedyRouter`.
 
-    ``workers == 1`` (the default) gives the classic serial
-    :class:`GreedyRouter`; ``workers > 1`` gives the wave-parallel
-    :class:`repro.parallel.ParallelRouter`, which shares the same
-    ``route()`` contract.  The import is deferred because the parallel
-    package builds on this module.  ``sink`` receives the routing event
-    stream (``repro.obs``); None keeps the zero-overhead null sink.
+    ``sink`` receives the routing event stream (``repro.obs``); None
+    keeps the zero-overhead null sink.
     """
-    cfg = config or RouterConfig()
-    if cfg.workers > 1:
-        from repro.parallel import ParallelRouter
-
-        return ParallelRouter(board, cfg, workspace, sink)
-    return GreedyRouter(board, cfg, workspace, sink)
+    return GreedyRouter(board, config, workspace, sink)
 
 
 class GreedyRouter:
@@ -233,7 +185,6 @@ class GreedyRouter:
         config: Optional[RouterConfig] = None,
         workspace: Optional[RoutingWorkspace] = None,
         sink: Optional[EventSink] = None,
-        budget_tracker: Optional[BudgetTracker] = None,
     ) -> None:
         self.board = board
         self.config = config or RouterConfig()
@@ -247,10 +198,6 @@ class GreedyRouter:
         self.sink = sink if sink is not None else NULL_SINK
         #: Per-phase CPU profile (Section 12), refreshed by each route().
         self.profile = RouterProfile()
-        #: Shared deadline clock: the parallel router passes its own
-        #: tracker so residue/fallback phases honor the *call's* deadline
-        #: rather than starting a fresh one.  None = per-route() tracker.
-        self.budget_tracker = budget_tracker
 
     # ------------------------------------------------------------------
     # the outer pass loop (Section 8.4)
@@ -268,9 +215,7 @@ class GreedyRouter:
         started = time.perf_counter()
         self.profile = RouterProfile()
         cfg = self.config
-        tracker = self.budget_tracker or BudgetTracker(
-            cfg.budget, self.sink
-        )
+        tracker = BudgetTracker(cfg.budget, self.sink)
         timed = tracker.timed
         ordered = (
             sort_connections(connections) if cfg.sort else list(connections)

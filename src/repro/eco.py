@@ -12,17 +12,12 @@ touch:
 * **Warm gap-cache entries** survive — mutations go through the same
   channel primitives routing uses, so generations bump only on touched
   channels and the generation-stamped :class:`~repro.channels.gap_cache.
-  GapCache` keeps serving the rest.
-* **The persistent worker pool** survives the mutate→reroute boundary:
-  the session keeps one *continuous* delta recording open on the
-  workspace (:meth:`RoutingWorkspace.drain_delta`), drains it into a
-  pool sync before each reroute, and hands the live pool to the next
-  :class:`~repro.parallel.ParallelRouter` call instead of letting it
-  respawn (Ahrens et al., arXiv:2111.06169 make the same observation
-  for incremental queries: reuse, don't rebuild).
+  GapCache` keeps serving the rest (Ahrens et al., arXiv:2111.06169
+  make the same observation for incremental queries: reuse, don't
+  rebuild).
 
-The invalidation rule is ownership-based, computed from the same
-channel/via bookkeeping the delta substrate uses:
+The invalidation rule is ownership-based, computed from the workspace's
+channel/via bookkeeping:
 
 * ``move_part`` invalidates every connection incident to the part's
   pins (their endpoints move), plus — transitively — any surviving
@@ -57,6 +52,7 @@ from repro.core.budget import RouteBudget
 from repro.core.result import RoutingResult, Strategy
 from repro.core.router import RouterConfig, make_router
 from repro.grid.coords import ViaPoint
+from repro.io.registry import UnknownReferenceError, check_connections
 from repro.obs.events import EcoBegin, EcoInvalidate, EcoReroute
 from repro.obs.sinks import NULL_SINK, EventSink
 from repro.stringer.stringer import Stringer
@@ -131,16 +127,10 @@ class EcoSession:
         self.config = config or RouterConfig()
         self.sink = sink if sink is not None else NULL_SINK
         self.workspace = workspace or RoutingWorkspace(board)
-        for conn in self.connections:
-            if not (
-                0 <= conn.net_id < len(board.nets)
-                and 0 <= conn.pin_a < len(board.pins)
-                and 0 <= conn.pin_b < len(board.pins)
-            ):
-                raise EcoError(
-                    f"connection {conn.conn_id} names a net or pin the "
-                    f"board lacks"
-                )
+        try:
+            check_connections(board, self.connections)
+        except UnknownReferenceError as exc:
+            raise EcoError(str(exc)) from exc
         # A board loaded beside its connection file lists no terminators
         # in its nets: the stringer that claimed them ran elsewhere.
         # Every free pin a connection ends on joins that connection's
@@ -164,9 +154,6 @@ class EcoSession:
         self._next_conn_id = (
             max((c.conn_id for c in self.connections), default=-1) + 1
         )
-        #: The kept worker pool (``config.workers > 1`` only), handed to
-        #: each reroute's ParallelRouter and reclaimed afterwards.
-        self._pool = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -174,20 +161,8 @@ class EcoSession:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the kept worker pool and stop delta recording.
-
-        Idempotent, and the delta recording is ended even when the pool
-        teardown raises — a reused workspace must never keep recording
-        ops unboundedly because a close went half way.
-        """
+        """End the session: later edits and reroutes raise.  Idempotent."""
         self._closed = True
-        pool, self._pool = self._pool, None
-        try:
-            if pool is not None:
-                pool.close()
-        finally:
-            if self.workspace.delta_active:
-                self.workspace.end_delta()
 
     def __enter__(self) -> "EcoSession":
         return self
@@ -234,9 +209,7 @@ class EcoSession:
                 ws.remove_connection(conn.conn_id)
                 ripped.append(conn.conn_id)
         for pin, old_position in moves:
-            ws.undrill_pin(old_position, pin.owner_token)
-        for pin, _ in moves:
-            ws.note_pin_moved(pin.pin_id, pin.position)
+            ws.remove_via(old_position, pin.owner_token)
         cascades: List[int] = []
         for pin in part.pins:
             cascades.extend(self._drill_with_ripup(pin.position, pin))
@@ -272,8 +245,8 @@ class EcoSession:
         """Drill a pin site, ripping any surviving routes covering it.
 
         The channel conflict names no owner, so the blockers are read
-        off the same bookkeeping the delta substrate maintains: the
-        segment owners covering the site plus its drilled-via owner.
+        off the workspace's bookkeeping: the segment owners covering the
+        site plus its drilled-via owner.
         Only routed connections (owner >= 0) are rippable; anything
         else under a pin destination is immovable and raises.
         """
@@ -281,7 +254,7 @@ class EcoSession:
         ripped: List[int] = []
         while True:
             try:
-                ws.drill_pin(via, pin.owner_token)
+                ws.drill_via(via, pin.owner_token)
                 return ripped
             except ChannelConflictError as exc:
                 blockers = {
@@ -407,7 +380,6 @@ class EcoSession:
         no-edit fast path costs one list scan.
         """
         from repro.api import RouteResponse
-        from repro.parallel.router import ParallelRouter
 
         self._check_open()
         started = time.perf_counter()
@@ -445,55 +417,9 @@ class EcoSession:
         config = self.config
         if budget is not None:
             config = replace(config, budget=budget)
-        if config.workers > 1 and not ws.delta_active:
-            # One continuous recording spans mutations and reroutes, so
-            # a kept pool can always be caught up by draining it.
-            ws.begin_delta()
-        if self._pool is not None:
-            if self._pool.alive:
-                delta = ws.drain_delta()
-                digest = ws.state_digest() if config.audit else None
-                self._pool.sync(delta, digest)
-            else:
-                self._pool = None
-
         router = make_router(self.board, config, workspace=ws, sink=self.sink)
-        parallel = isinstance(router, ParallelRouter)
-        if parallel:
-            router.keep_pool = True
-            router.attach_pool(self._pool)
-            self._pool = None
-        try:
-            result = router.route(list(self.connections))
-        except BaseException:
-            # The route died mid-flight (KeyboardInterrupt, a raising
-            # sink, a worker-path escape).  The handed-off pool would
-            # otherwise leak its worker processes — and the continuous
-            # delta recording, now without a consumer, would accumulate
-            # ops forever on a reused workspace.  Reclaim both before
-            # re-raising; the session stays open but cold.
-            if parallel:
-                stranded = router.release_pool()
-                if stranded is not None:
-                    stranded.close()
-            if ws.delta_active:
-                ws.end_delta()
-            raise
+        result = router.route(list(self.connections))
         rerouted = len(result.routed_by)
-        if parallel:
-            self._pool = router.release_pool()
-            if router.workspace is not ws:
-                # Parity fallback rebuilt the workspace from scratch;
-                # the old one (and any pool mirroring it) is gone.
-                if ws.delta_active:
-                    ws.end_delta()
-                self.workspace = ws = router.workspace
-                self._routed_by.clear()
-        if self._pool is None and ws.delta_active:
-            # No pool survived: recording has no consumer; drop it
-            # rather than accumulating ops forever.
-            ws.end_delta()
-
         self._invalidated.clear()
         self._routed_by = {
             conn_id: strategy
@@ -538,22 +464,6 @@ class EcoSession:
             for c in self.connections
             if not self.workspace.is_routed(c.conn_id)
         ]
-
-    @property
-    def pool_alive(self) -> bool:
-        """True while a kept worker pool survives between reroutes."""
-        return self._pool is not None and self._pool.alive
-
-    @property
-    def pool_pids(self) -> List[int]:
-        """Process ids of the kept pool's live workers (bookkeeping).
-
-        The serving layer uses this to prove clean shutdown: after
-        :meth:`close`, every pid listed here must be gone.
-        """
-        if self._pool is not None and self._pool.alive:
-            return self._pool.pids()
-        return []
 
     def _check_open(self) -> None:
         if self._closed:

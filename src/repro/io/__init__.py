@@ -22,7 +22,10 @@ from repro.io.registry import (
     FORMAT_KICAD,
     FORMAT_NATIVE,
     FormatError,
+    InputError,
     LoadedBoard,
+    UnknownReferenceError,
+    check_connections,
     detect_format,
     load_board,
     load_board_text,
@@ -35,7 +38,10 @@ __all__ = [
     "FORMAT_KICAD",
     "FORMAT_NATIVE",
     "FormatError",
+    "InputError",
     "LoadedBoard",
+    "UnknownReferenceError",
+    "check_connections",
     "detect_format",
     "load_board",
     "load_board_text",

@@ -26,9 +26,10 @@ from repro.channels.workspace import (
     RoutingWorkspace,
 )
 from repro.grid.coords import GridPoint, ViaPoint
+from repro.io.registry import InputError
 
 
-class RouteDumpError(ValueError):
+class RouteDumpError(InputError):
     """The file is not a valid route dump."""
 
 

@@ -46,6 +46,7 @@ from repro.board.technology import LogicFamily, TechRules
 from repro.channels.workspace import RouteRecord, RoutingWorkspace
 from repro.extensions.dispersion import DispersionError, PadSpec, disperse_pads
 from repro.grid.coords import GridPoint, ViaPoint
+from repro.io.registry import InputError
 from repro.io.sexp import (
     Atom,
     SExpError,
@@ -98,7 +99,7 @@ def is_power_net_name(name: str) -> bool:
     return bool(_POWER_PATTERN.match(lowered))
 
 
-class KicadFormatError(ValueError):
+class KicadFormatError(InputError):
     """The file is not a board this importer can handle."""
 
 

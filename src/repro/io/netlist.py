@@ -23,6 +23,7 @@ from repro.board.nets import Connection, NetKind
 from repro.board.parts import Package, PinRole
 from repro.board.technology import LogicFamily
 from repro.grid.coords import ViaPoint
+from repro.io.registry import InputError
 
 _ROLE_TO_CHAR = {
     PinRole.OUTPUT: "O",
@@ -34,7 +35,7 @@ _ROLE_TO_CHAR = {
 _CHAR_TO_ROLE = {v: k for k, v in _ROLE_TO_CHAR.items()}
 
 
-class NetlistFormatError(ValueError):
+class NetlistFormatError(InputError):
     """The file is not a valid board/connection description."""
 
 

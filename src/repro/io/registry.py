@@ -8,7 +8,9 @@ whether the file was the native line-based format or a KiCad
 with ``format=`` as the explicit override; the writers
 (:func:`save_board`, :func:`save_connections`, :func:`save_routes`)
 apply the same extension rules so a ``--write-board out.kicad_pcb``
-lands in the format its name promises.
+lands in the format its name promises.  Connection lists read from a
+file or text are checked against their board (:func:`check_connections`),
+and every reader's error derives from :class:`InputError`.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ from __future__ import annotations
 import io as _io
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.board.board import Board
 from repro.board.nets import Connection
@@ -38,8 +38,38 @@ _EXTENSIONS = {
 _KNOWN_FORMATS = (FORMAT_NATIVE, FORMAT_KICAD)
 
 
-class FormatError(ValueError):
+class InputError(ValueError):
+    """Board, connection or route input that cannot be used as given.
+
+    Every reader's error derives from it, so the CLI and the service
+    catch this one type at their boundary (exit 2, HTTP 400, or 422 for
+    an :class:`UnknownReferenceError`) instead of failing as if routing
+    had.
+    """
+
+
+class FormatError(InputError):
     """A path/format combination the registry cannot satisfy."""
+
+
+class UnknownReferenceError(InputError):
+    """A connection names a net or pin its board lacks."""
+
+
+def check_connections(board: Board, connections: Iterable[Connection]) -> None:
+    """Raise :class:`UnknownReferenceError` for the first connection
+    naming a net or pin ``board`` lacks."""
+    n_nets, n_pins = len(board.nets), len(board.pins)
+    for conn in connections:
+        if not (
+            0 <= conn.net_id < n_nets
+            and 0 <= conn.pin_a < n_pins
+            and 0 <= conn.pin_b < n_pins
+        ):
+            raise UnknownReferenceError(
+                f"connection {conn.conn_id} names a net or pin the board "
+                "lacks"
+            )
 
 
 @dataclass
@@ -135,6 +165,7 @@ def load_board(
     if connections_path is not None:
         with open(os.fspath(connections_path), encoding="utf-8") as stream:
             connections = tuple(read_connections(stream))
+        check_connections(board, connections)
     else:
         from repro.stringer import Stringer
 
@@ -186,6 +217,7 @@ def load_board_text(
         connections = tuple(
             read_connections(_io.StringIO(connections_text))
         )
+        check_connections(board, connections)
     else:
         from repro.stringer import Stringer
 

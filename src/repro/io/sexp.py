@@ -19,8 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Union
 
+from repro.io.registry import InputError
 
-class SExpError(ValueError):
+
+class SExpError(InputError):
     """The text is not a well-formed s-expression document."""
 
     def __init__(self, message: str, offset: int = -1) -> None:

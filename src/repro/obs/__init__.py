@@ -5,8 +5,7 @@ inefficient routing patterns" (Section 12).  This package is that
 analysis surface for the reproduction:
 
 * :mod:`repro.obs.events` — typed events for everything the router does
-  (passes, strategy attempts, Lee exhaustion, rip-up, putback, parallel
-  merge demotions, audits);
+  (passes, strategy attempts, Lee exhaustion, rip-up, putback, audits);
 * :mod:`repro.obs.sinks` — pluggable event sinks (null / ring buffer /
   JSONL file) with a near-zero-cost disabled path;
 * :mod:`repro.obs.audit` — :class:`WorkspaceAuditor`, which verifies the
@@ -31,17 +30,13 @@ from repro.obs.events import (
     CacheStats,
     ConnectionFailed,
     ConnectionRouted,
-    DegradedMode,
-    DeltaSync,
     EcoBegin,
     EcoInvalidate,
     EcoReroute,
     ImproveAttempt,
     LeeExhausted,
-    MergeDemoted,
     PassEnd,
     PassStart,
-    PoolStart,
     PutbackResult,
     RipUpVictims,
     RouteEvent,
@@ -51,10 +46,6 @@ from repro.obs.events import (
     ServeEvict,
     ServeReject,
     StrategyAttempt,
-    WaveEnd,
-    WaveStart,
-    WorkerRetry,
-    WorkerSteal,
 )
 from repro.obs.sinks import (
     NULL_SINK,
@@ -72,8 +63,6 @@ __all__ = [
     "CacheStats",
     "ConnectionFailed",
     "ConnectionRouted",
-    "DegradedMode",
-    "DeltaSync",
     "EcoBegin",
     "EcoInvalidate",
     "EcoReroute",
@@ -81,12 +70,10 @@ __all__ = [
     "ImproveAttempt",
     "JsonlSink",
     "LeeExhausted",
-    "MergeDemoted",
     "NULL_SINK",
     "NullSink",
     "PassEnd",
     "PassStart",
-    "PoolStart",
     "PutbackResult",
     "RestoreBlockedError",
     "RingBufferSink",
@@ -99,10 +86,6 @@ __all__ = [
     "ServeReject",
     "StrategyAttempt",
     "Violation",
-    "WaveEnd",
-    "WaveStart",
-    "WorkerRetry",
-    "WorkerSteal",
     "WorkspaceAuditError",
     "WorkspaceAuditor",
 ]

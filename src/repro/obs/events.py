@@ -20,21 +20,12 @@ kind                emitted when
 ``putback``         one ripped-up victim is restored (or fails to be)
 ``routed``          a connection's route is finally installed
 ``failed``          a connection exhausts every strategy and rip-up round
-``wave_start``      the parallel router fans out one wave
-``wave_end``        one wave's merge completes
-``merge_demoted``   a wave record collides in the merge and is demoted
 ``improve``         the improvement pass re-routes one detour
 ``audit``           a workspace audit ran (violation count included)
 ``cache_stats``     free-gap cache hit/miss totals for a routing phase
 ``bounds_stats``    lower-bound cache hit/rebuild totals (goal search)
 ``budget_checkpoint``  a timed routing run passed a coarse checkpoint
 ``budget_exhausted``   a wall-clock budget scope ran out (once per scope)
-``worker_retry``    a failed wave worker is being retried with backoff
-``degraded``        a degradation path engaged (group -> residue, ...)
-``pool_start``      the persistent worker pool spawned its workers
-``delta_sync``      a workspace delta was broadcast to the pool
-``worker_steal``    an idle pool worker took a group from the deque
-``auto_serial``     the size heuristic routed the board serially
 ``backend_selected``  a router resolved and applied its search backend
 ``serve_accept``    the routing service received a job-creating request
 ``serve_admit``     the admission controller let a job start routing
@@ -171,36 +162,6 @@ class ConnectionFailed(RouteEvent):
 
 
 @dataclass(frozen=True)
-class WaveStart(RouteEvent):
-    """The parallel router fans out one wave of groups."""
-
-    kind: ClassVar[str] = "wave_start"
-    wave: int
-    groups: int
-    connections: int
-
-
-@dataclass(frozen=True)
-class WaveEnd(RouteEvent):
-    """One wave merged: ``merged`` installed, ``demoted`` collided."""
-
-    kind: ClassVar[str] = "wave_end"
-    wave: int
-    merged: int
-    demoted: int
-    failed: int
-
-
-@dataclass(frozen=True)
-class MergeDemoted(RouteEvent):
-    """A wave record collided with the master state and was demoted."""
-
-    kind: ClassVar[str] = "merge_demoted"
-    conn_id: int
-    wave: int
-
-
-@dataclass(frozen=True)
 class ImproveAttempt(RouteEvent):
     """The improvement pass re-routed one detoured connection."""
 
@@ -222,7 +183,7 @@ class AuditRun(RouteEvent):
 
 @dataclass(frozen=True)
 class BudgetCheckpoint(RouteEvent):
-    """A timed run passed a coarse budget checkpoint (pass/wave start).
+    """A timed run passed a coarse budget checkpoint (pass start).
 
     Only emitted when a wall-clock limit is configured; ``remaining`` is
     None when no *total* deadline is set (per-connection limits only)."""
@@ -245,92 +206,6 @@ class BudgetExhausted(RouteEvent):
     context: str
     elapsed: float
     limit: float
-
-
-@dataclass(frozen=True)
-class WorkerRetry(RouteEvent):
-    """A wave worker failed (``reason``: ``crash`` / ``error`` /
-    ``deadline``) and its group is being relaunched after ``backoff``
-    seconds (attempt numbers are zero-based)."""
-
-    kind: ClassVar[str] = "worker_retry"
-    strip_index: int
-    attempt: int
-    reason: str
-    backoff: float
-
-
-@dataclass(frozen=True)
-class DegradedMode(RouteEvent):
-    """A degradation path engaged: a wave group exhausted its retry
-    budget and was reassigned to the serial residue pass, or the parity
-    fallback was skipped to preserve a deadline-limited partial result.
-    ``connections`` counts the connections affected."""
-
-    kind: ClassVar[str] = "degraded"
-    context: str
-    reason: str
-    connections: int
-
-
-@dataclass(frozen=True)
-class PoolStart(RouteEvent):
-    """The persistent worker pool came up: ``workers`` processes via
-    ``start_method`` (``"fork"`` inherits the master copy-on-write and
-    ships zero bytes; ``"spawn"`` ships one pickled snapshot of
-    ``snapshot_bytes`` to every worker).  Emitted once per routing call
-    that engages the pool, after all workers are running."""
-
-    kind: ClassVar[str] = "pool_start"
-    workers: int
-    start_method: str
-    snapshot_bytes: int
-    seconds: float
-
-
-@dataclass(frozen=True)
-class DeltaSync(RouteEvent):
-    """One workspace delta was broadcast to every live pool worker:
-    ``ops`` route-level operations (``added`` installs, ``removed``
-    rip-ups) in ``payload_bytes`` on the wire.  ``epoch`` is the
-    master's synchronization counter after applying this delta."""
-
-    kind: ClassVar[str] = "delta_sync"
-    epoch: int
-    ops: int
-    added: int
-    removed: int
-    payload_bytes: int
-
-
-@dataclass(frozen=True)
-class WorkerSteal(RouteEvent):
-    """An idle pool worker took group ``strip_index`` from wave
-    ``wave``'s shared deque, leaving ``queued`` groups waiting.  The
-    deal order never changes results (every worker routes against the
-    same sync epoch), only which process does the work."""
-
-    kind: ClassVar[str] = "worker_steal"
-    worker: int
-    wave: int
-    strip_index: int
-    queued: int
-
-
-@dataclass(frozen=True)
-class AutoSerial(RouteEvent):
-    """The board-size heuristic routed this call serially without
-    touching the pool: ``reason`` is ``"below_min_demand"`` (too little
-    routing work to amortize pool startup) or ``"congested"``
-    (demand/supply utilization so high that waves would poison the
-    residue and trigger the parity fallback's double routing)."""
-
-    kind: ClassVar[str] = "auto_serial"
-    reason: str
-    demand: int
-    supply: int
-    utilization: float
-    connections: int
 
 
 @dataclass(frozen=True)
@@ -420,8 +295,7 @@ class ServeReject(RouteEvent):
 @dataclass(frozen=True)
 class ServeEvict(RouteEvent):
     """A warm session sat idle past the server's TTL and was closed
-    (worker pool released, delta recording ended) after
-    ``idle_seconds`` without a request."""
+    after ``idle_seconds`` without a request."""
 
     kind: ClassVar[str] = "serve_evict"
     session: str

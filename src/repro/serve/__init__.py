@@ -1,14 +1,14 @@
 """Routing-as-a-service: a long-lived asyncio server with warm state.
 
 The batch facade (:mod:`repro.api`) is one request in, one response
-out, and every call pays cold-start: workspace build, pool spawn, cache
+out, and every call pays cold-start: workspace build and cache
 warm-up.  A service sees the opposite traffic shape — mostly *edits*
 against boards it has already routed — so this package keeps the
 expensive state alive between HTTP calls:
 
 * :class:`SessionManager` holds named warm :class:`~repro.eco.EcoSession`
-  objects (kept worker pools, graduated gap caches, continuous delta
-  recordings) with idle-TTL eviction;
+  objects (routed workspaces, graduated gap caches) with idle-TTL
+  eviction;
 * :class:`AdmissionController` bounds concurrent routing jobs — a full
   queue answers 429 + Retry-After instead of queueing without bound —
   and the server derives each job's :class:`~repro.core.budget.

@@ -21,8 +21,6 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8747
-    #: Router worker processes per job (1 = serial routing).
-    workers: int = 1
     #: Routing jobs allowed to run concurrently.
     max_concurrent: int = 2
     #: Jobs allowed to wait for a slot; beyond this the server answers
@@ -32,8 +30,8 @@ class ServeConfig:
     default_deadline_seconds: Optional[float] = 60.0
     #: Hard per-job ceiling; requests asking for more are clamped.
     max_deadline_seconds: Optional[float] = 300.0
-    #: Warm sessions idle longer than this are evicted (pool closed,
-    #: delta recording ended).  None disables eviction.
+    #: Warm sessions idle longer than this are evicted.  None disables
+    #: eviction.
     session_ttl_seconds: Optional[float] = 300.0
     #: How often the evictor scans for idle sessions.
     evict_interval_seconds: float = 5.0
@@ -46,8 +44,6 @@ class ServeConfig:
     max_body_bytes: int = 64 * 1024 * 1024
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         if self.max_concurrent < 1:
             raise ValueError("max_concurrent must be at least 1")
         if self.max_queue_depth < 0:

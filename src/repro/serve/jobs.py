@@ -27,6 +27,7 @@ class Job:
         "queued_seconds",
         "result",
         "error",
+        "status",
     )
 
     def __init__(
@@ -43,6 +44,9 @@ class Job:
         self.queued_seconds = 0.0
         self.result: Optional[Dict[str, object]] = None
         self.error: Optional[str] = None
+        #: HTTP status for a client waiting on the job: 200 once done,
+        #: 400/422 for rejected input, 500 for any other failure.
+        self.status = 500
 
     @property
     def done(self) -> bool:

@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import io
-import os
 import time
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -37,10 +35,14 @@ from repro.board.technology import LogicFamily
 from repro.channels.workspace import RoutingWorkspace
 from repro.core.profiling import RouterProfile
 from repro.core.result import Strategy
-from repro.core.router import RouterConfig
 from repro.eco import EcoError, EcoSession
 from repro.grid.coords import ViaPoint
-from repro.io import load_routes, save_route_dump
+from repro.io import (
+    InputError,
+    UnknownReferenceError,
+    load_routes,
+    save_route_dump,
+)
 from repro.obs.events import ServeAccept, ServeAdmit, ServeEvict, ServeReject
 from repro.obs.sinks import NULL_SINK, EventSink
 from repro.serve.admission import AdmissionController, AdmissionRejected
@@ -60,34 +62,10 @@ from repro.serve.sessions import ManagedSession, SessionManager
 from repro.serve.sink import AsyncSink
 
 
-#: Live servers whose fds must be closed inside forked worker processes.
-#:
-#: A warm session's kept pool forks from the server process, inheriting
-#: every open fd — including the accepted client socket of the very
-#: request that triggered the fork.  The server finishes and closes its
-#: copy, but the long-lived worker still holds the fd, so the client
-#: never sees EOF (and after shutdown the workers would keep the port
-#: bound).  Transient pools exit quickly and mask the bug; kept pools
-#: pin the socket for their whole lifetime.  The after-fork hook below
-#: runs in each fresh worker and drops every inherited server fd.
-_LIVE_SERVERS: "weakref.WeakSet[RoutingServer]" = weakref.WeakSet()
-_AFTER_FORK_REGISTERED = False
-
-
-def _close_server_fds_after_fork(servers) -> None:
-    # Runs inside the forked worker process, never in the server.
-    for server in list(servers):
-        server._close_fds_in_child()
-
-
-def _register_after_fork_hook() -> None:
-    global _AFTER_FORK_REGISTERED
-    if _AFTER_FORK_REGISTERED:
-        return
-    from multiprocessing import util as mp_util
-
-    mp_util.register_after_fork(_LIVE_SERVERS, _close_server_fds_after_fork)
-    _AFTER_FORK_REGISTERED = True
+def _input_status(exc: InputError) -> int:
+    """400 for unreadable input text, 422 for a connection naming a net
+    or pin its board lacks."""
+    return 422 if isinstance(exc, UnknownReferenceError) else 400
 
 
 def _require_str(body: Dict[str, object], field: str) -> str:
@@ -114,22 +92,6 @@ def _connections_text(body: Dict[str, object], board_format: str):
             )
         return None
     return _require_str(body, "connections")
-
-
-def _router_config(body: Dict[str, object], default_workers: int):
-    """Per-request router knobs: worker count + pool heuristic override."""
-    import dataclasses
-
-    try:
-        workers = int(body.get("workers", default_workers))
-    except (TypeError, ValueError):
-        raise HttpError(400, "workers must be an integer")
-    config = RouterConfig(workers=workers)
-    if "pool_auto_serial" in body:
-        config = dataclasses.replace(
-            config, pool_auto_serial=bool(body["pool_auto_serial"])
-        )
-    return config
 
 
 def _optional_timeout(body: Dict[str, object]) -> Optional[float]:
@@ -171,11 +133,6 @@ class RoutingServer:
         self._tasks: Set[asyncio.Task] = set()
         self._started_at = time.time()
         self.address: Optional[Tuple[str, int]] = None
-        #: fds a forked worker must close (listener + open client
-        #: connections); see :data:`_LIVE_SERVERS`.
-        self._tracked_fds: Set[int] = set()
-        _LIVE_SERVERS.add(self)
-        _register_after_fork_hook()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -190,28 +147,12 @@ class RoutingServer:
         )
         if self.config.session_ttl_seconds is not None:
             self._evictor = asyncio.create_task(self._evict_loop())
-        for sock in self._server.sockets:
-            self._tracked_fds.add(sock.fileno())
         sockname = self._server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
         return self.address
 
-    def _close_fds_in_child(self) -> None:
-        """Drop inherited server fds; runs in forked workers only."""
-        for fd in list(self._tracked_fds):
-            try:
-                os.close(fd)
-            except OSError:
-                pass
-        self._tracked_fds.clear()
-
     async def shutdown(self) -> None:
-        """Graceful stop: finish running jobs, close every session.
-
-        After this returns, no worker process the server created is
-        alive — sessions close their kept pools, and per-job pools
-        never outlive their routing call.
-        """
+        """Graceful stop: finish running jobs, close every session."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -227,20 +168,6 @@ class RoutingServer:
             await asyncio.gather(*self._tasks, return_exceptions=True)
         self.sessions.close_all()
         self._executor.shutdown(wait=True)
-
-    def worker_pids(self) -> List[int]:
-        """Pids of every worker process warm sessions keep alive.
-
-        The clean-shutdown check: after :meth:`shutdown`, every pid
-        this returned must be dead (per-job pools are closed by the
-        routing call itself, so sessions are the only keepers).
-        """
-        pids: Set[int] = set()
-        for name in self.sessions.names():
-            managed = self.sessions.get(name)
-            if managed is not None and managed.ready:
-                pids.update(managed.session.pool_pids)
-        return sorted(pids)
 
     async def _evict_loop(self) -> None:
         while True:
@@ -331,6 +258,11 @@ class RoutingServer:
                         self._executor, work
                     )
                 job.state = "done"
+                job.status = 200
+            except InputError as exc:  # the request's input, not routing
+                job.state = "failed"
+                job.error = f"{type(exc).__name__}: {exc}"
+                job.status = _input_status(exc)
             except Exception as exc:  # job failure is a job outcome
                 job.state = "failed"
                 job.error = f"{type(exc).__name__}: {exc}"
@@ -374,7 +306,6 @@ class RoutingServer:
         board_text = _require_str(body, "board")
         board_format = _board_format(body)
         connections_text = _connections_text(body, board_format)
-        router_config = _router_config(body, self.config.workers)
         include_routes = bool(body.get("include_routes", False))
         wait = bool(body.get("wait", True))
         budget = self.config.budget_for(_optional_timeout(body))
@@ -387,7 +318,6 @@ class RoutingServer:
                 connections_text,
                 format=board_format,
                 budget=budget,
-                config=router_config,
                 sink=sink,
             )
             response = api_route(req)
@@ -398,8 +328,7 @@ class RoutingServer:
         task = self._spawn(self._execute_job(job, grant, work))
         if wait:
             await asyncio.shield(task)
-            status = 200 if job.state == "done" else 500
-            await send_json(writer, status, job.to_dict())
+            await send_json(writer, job.status, job.to_dict())
         else:
             await send_json(writer, 202, job.to_dict(include_result=False))
 
@@ -410,7 +339,6 @@ class RoutingServer:
         board_format = _board_format(body)
         connections_text = _connections_text(body, board_format)
         routes_text = body.get("routes")
-        router_config = _router_config(body, self.config.workers)
         include_routes = bool(body.get("include_routes", False))
         budget = self.config.budget_for(_optional_timeout(body))
         try:
@@ -423,10 +351,7 @@ class RoutingServer:
             # routing happens, so no admission slot is needed.
             def adopt() -> Dict:
                 req = request_from_text(
-                    board_text,
-                    connections_text,
-                    format=board_format,
-                    config=router_config,
+                    board_text, connections_text, format=board_format
                 )
                 workspace = RoutingWorkspace(req.board)
                 restored = load_routes(workspace, io.StringIO(routes_text))
@@ -448,9 +373,11 @@ class RoutingServer:
 
             try:
                 payload = await self._loop.run_in_executor(None, adopt)
-            except EcoError as exc:
+            except InputError as exc:
                 self.sessions.abort(managed)
-                raise HttpError(422, f"ECO rejected: {exc}")
+                raise HttpError(
+                    _input_status(exc), f"{type(exc).__name__}: {exc}"
+                )
             except Exception:
                 self.sessions.abort(managed)
                 raise
@@ -471,7 +398,6 @@ class RoutingServer:
                 connections_text,
                 format=board_format,
                 budget=budget,
-                config=router_config,
                 sink=sink,
             )
             response = api_route(req)
@@ -487,7 +413,7 @@ class RoutingServer:
         await asyncio.shield(task)
         if job.state != "done":
             self.sessions.abort(managed)
-            await send_json(writer, 500, job.to_dict())
+            await send_json(writer, job.status, job.to_dict())
             return
         await send_json(writer, 200, job.to_dict())
 
@@ -600,7 +526,6 @@ class RoutingServer:
                 response, session.workspace, include_routes
             )
             payload["session"] = name
-            payload["pool_alive"] = session.pool_alive
             return payload
 
         task = self._spawn(
@@ -608,8 +533,7 @@ class RoutingServer:
         )
         if wait:
             await asyncio.shield(task)
-            status = 200 if job.state == "done" else 500
-            await send_json(writer, status, job.to_dict())
+            await send_json(writer, job.status, job.to_dict())
         else:
             await send_json(writer, 202, job.to_dict(include_result=False))
 
@@ -636,7 +560,6 @@ class RoutingServer:
             if managed.ready:
                 row["connections"] = len(managed.session.connections)
                 row["pending"] = len(managed.session.pending)
-                row["pool_alive"] = managed.session.pool_alive
             rows.append(row)
         await send_json(writer, 200, {"sessions": rows})
 
@@ -686,7 +609,6 @@ class RoutingServer:
                 "jobs": self.jobs.counts(),
                 "sessions": self.sessions.names(),
                 "counters": dict(self.profile.counters),
-                "worker_pids": self.worker_pids(),
             },
         )
 
@@ -727,10 +649,6 @@ class RoutingServer:
             raise HttpError(404, f"no route for {method} {path}")
 
     async def _handle_client(self, reader, writer) -> None:
-        sock = writer.get_extra_info("socket")
-        fd = sock.fileno() if sock is not None else None
-        if fd is not None and fd >= 0:
-            self._tracked_fds.add(fd)
         try:
             try:
                 request = await read_request(
@@ -765,8 +683,6 @@ class RoutingServer:
                 except (ConnectionError, RuntimeError):
                     pass
         finally:
-            if fd is not None:
-                self._tracked_fds.discard(fd)
             try:
                 writer.close()
                 await writer.wait_closed()

@@ -1,9 +1,9 @@
 """Named warm sessions: EcoSessions kept alive between HTTP calls.
 
 This is the state that makes the service worth running: a session's
-:class:`~repro.eco.EcoSession` carries the routed workspace, the kept
-worker pool and the graduated gap caches across requests, so an edit →
-reroute round trip costs what the *edit* costs, not a cold route.
+:class:`~repro.eco.EcoSession` carries the routed workspace and the
+graduated gap caches across requests, so an edit → reroute round trip
+costs what the *edit* costs, not a cold route.
 
 Lifecycle rules a long-lived process forces:
 
@@ -11,9 +11,7 @@ Lifecycle rules a long-lived process forces:
   while mutating or rerouting (routing itself runs in an executor
   thread; the lock spans the await);
 * idle sessions are evicted after a TTL — eviction calls
-  ``EcoSession.close()``, which releases the pool processes and ends
-  the continuous delta recording (the two leaks PRs 5–6 made possible
-  and this PR's bugfixes make impossible);
+  ``EcoSession.close()`` and drops the session, freeing its workspace;
 * a busy session is never evicted mid-job: the evictor skips sessions
   whose lock is held and re-judges them next scan.
 """
@@ -96,7 +94,7 @@ class SessionManager:
             del self._sessions[managed.name]
 
     def close(self, name: str) -> bool:
-        """Close and forget one session (its pool dies with it)."""
+        """Close and forget one session."""
         managed = self._sessions.pop(name, None)
         if managed is None:
             return False

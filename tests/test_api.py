@@ -50,12 +50,12 @@ class TestRouteRequest:
             connections=conns,
             budget=RouteBudget(deadline_seconds=9.0),
             config=RouterConfig(
-                workers=2, budget=RouteBudget(deadline_seconds=1.0)
+                radius=2, budget=RouteBudget(deadline_seconds=1.0)
             ),
         )
         resolved = request.resolved_config
         assert resolved.budget.deadline_seconds == 9.0
-        assert resolved.workers == 2  # the rest of the config survives
+        assert resolved.radius == 2  # the rest of the config survives
 
     def test_defaults_resolve_to_default_config(self):
         board, conns = _problem()

@@ -66,45 +66,52 @@ class TestPipeline:
         ) == 0
 
 
-class TestParallelRoute:
-    def test_route_with_workers(self, files, capsys):
-        assert main(
-            [
-                "generate", files["board"],
-                "--config", "tna", "--scale", "0.25", "--seed", "2",
-            ]
-        ) == 0
-        assert main(["string", files["board"], files["conns"]]) == 0
+class TestInputErrors:
+    """Unusable input exits 2 with one line, never a traceback or the
+    routing-failure code."""
 
-        serial_routes = files["routes"] + ".serial"
-        assert main(
-            ["route", files["board"], files["conns"], serial_routes]
-        ) == 0
-        capsys.readouterr()
-
-        assert main(
-            [
-                "route", files["board"], files["conns"], files["routes"],
-                "--workers", "2",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        # A tna board at scale 0.25 is far below the pool's size
-        # threshold, so the parallel router reports the auto-serial path.
-        assert "parallel: auto-serial" in out
-        assert os.path.exists(files["routes"])
-
-    def test_workers_must_be_positive(self, files):
+    def _conns_with(self, files, field, value):
+        """The connection file with one field of its first record
+        replaced (1 = net id, 3 = pin_b)."""
         main(["generate", files["board"], "--config", "tna",
               "--scale", "0.25", "--seed", "2"])
         main(["string", files["board"], files["conns"]])
-        with pytest.raises(ValueError):
-            main(
-                [
-                    "route", files["board"], files["conns"], files["routes"],
-                    "--workers", "0",
-                ]
-            )
+        with open(files["conns"]) as f:
+            lines = f.read().splitlines()
+        fields = lines[0].split()
+        fields[1 + field] = str(value)
+        lines[0] = " ".join(fields)
+        with open(files["conns"], "w") as f:
+            f.write("\n".join(lines) + "\n")
+
+    def test_malformed_board_exits_2(self, files, capsys):
+        with open(files["board"], "w") as f:
+            f.write("garbage\n")
+        with open(files["conns"], "w") as f:
+            f.write("")
+        code = main(["route", files["board"], files["conns"], files["routes"]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "NetlistFormatError" in err and "unknown record" in err
+        assert not os.path.exists(files["routes"])
+
+    def test_malformed_connections_exit_2(self, files, capsys):
+        self._conns_with(files, 0, "x")
+        code = main(["route", files["board"], files["conns"], files["routes"]])
+        assert code == 2
+        assert "NetlistFormatError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [1, 3])
+    def test_connection_naming_a_missing_net_or_pin_exits_2(
+        self, files, capsys, field
+    ):
+        self._conns_with(files, field, 99999)
+        capsys.readouterr()
+        code = main(["route", files["board"], files["conns"], files["routes"]])
+        assert code == 2
+        assert "board lacks" in capsys.readouterr().err
+        assert not os.path.exists(files["routes"])
 
 
 class TestTraceAndAudit:

@@ -1,4 +1,4 @@
-"""Process-level concurrency: parallel route() calls and coexisting
+"""Thread-level concurrency: concurrent route() calls and coexisting
 ECO sessions.
 
 The serving layer runs routing jobs from a thread pool, so the library
@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import threading
 
-import pytest
-
 from repro.api import RouteRequest, begin_eco, route
-from repro.core.router import RouterConfig
 from repro.stringer import Stringer
 from repro.workloads import make_titan_board
 
@@ -112,35 +109,3 @@ class TestCoexistingSessions:
         for session, connections in sessions:
             assert len(session.connections) < len(connections)
             session.close()
-        assert not first.pool_alive and not second.pool_alive
-
-
-@pytest.mark.slow
-class TestCoexistingPooledSessions:
-    def test_two_kept_pools_in_one_process(self):
-        """Two warm sessions each keep their own worker pool."""
-        from tests.test_eco import _free_destination
-
-        sessions = []
-        for seed in (3, 4):
-            board, connections = _problem(seed)
-            config = RouterConfig(workers=2, pool_auto_serial=False)
-            request = RouteRequest(
-                board=board, connections=connections, config=config
-            )
-            response = route(request)
-            assert response.result.complete
-            sessions.append((begin_eco(request, response), board))
-
-        for session, board in sessions:
-            dest = _free_destination(board, 2)
-            assert dest is not None
-            session.move_part(2, dest)
-            response = session.reroute()
-            assert response.result.complete
-            assert session.pool_alive
-        pids = {pid for s, _ in sessions for pid in s.pool_pids}
-        assert len(pids) == 4  # two workers each, all distinct
-        for session, _ in sessions:
-            session.close()
-            assert not session.pool_alive

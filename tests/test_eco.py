@@ -3,7 +3,8 @@
 Covers the invalidation bookkeeping (move/cut/add), the no-edit fast
 path, rip-up cascades when a moved pin lands on surviving wiring,
 budget-degraded partial reroutes, attribution carry-over, and — behind
-the slow marker — kept-pool parity across the mutate→reroute boundary.
+the slow marker — audited move→reroute cycles and a reroute interrupted
+by a failing event consumer.
 """
 
 from __future__ import annotations
@@ -468,63 +469,21 @@ class _RaisingSink:
         pass
 
 
-class _ExplodingPool:
-    """Stands in for a kept pool whose close() fails."""
-
-    alive = True
-
-    def __init__(self) -> None:
-        self.closes = 0
-
-    def close(self) -> None:
-        self.closes += 1
-        raise RuntimeError("pool teardown failed")
-
-
 class TestLifecycleCleanup:
-    """The leaks a long-lived server turns from annoyance into outage."""
-
-    def test_close_ends_active_delta_recording(self):
-        session, _, _ = _routed_session()
-        session.workspace.begin_delta()
-        session.close()
-        assert not session.workspace.delta_active
-
     def test_close_is_idempotent(self):
         session, _, _ = _routed_session()
         session.close()
         session.close()
-        assert not session.workspace.delta_active
-
-    def test_close_ends_delta_even_when_pool_close_raises(self):
-        session, _, _ = _routed_session()
-        pool = _ExplodingPool()
-        session._pool = pool
-        session.workspace.begin_delta()
-        with pytest.raises(RuntimeError, match="pool teardown"):
-            session.close()
-        assert not session.workspace.delta_active
-        # The pool was detached before close; a second close is a no-op.
-        session.close()
-        assert pool.closes == 1
-
-    def test_pool_pids_empty_without_a_pool(self):
-        session, _, _ = _routed_session()
-        with session:
-            assert session.pool_pids == []
+        with pytest.raises(EcoError, match="closed"):
+            session.reroute()
 
 
 @pytest.mark.slow
-class TestRerouteExceptionCleanup:
-    def test_raising_sink_leaks_no_workers_and_no_recording(self):
-        import multiprocessing
-
-        config = RouterConfig(workers=2, pool_auto_serial=False)
+class TestRerouteException:
+    def test_raising_sink_leaves_the_session_usable(self):
         board = make_titan_board("tna", scale=0.25, seed=3)
         connections = Stringer(board).string_all()
-        request = RouteRequest(
-            board=board, connections=connections, config=config
-        )
+        request = RouteRequest(board=board, connections=connections)
         response = route(request)
         assert response.result.complete
         session = begin_eco(request, response)
@@ -534,34 +493,25 @@ class TestRerouteExceptionCleanup:
             assert dest is not None
             session.move_part(part_id, dest)
             assert session.pending
-            # A consumer that dies mid-route: the exception must not
-            # strand the worker pool the session handed to the router,
-            # nor leave the workspace recording deltas for nobody.
-            session.sink = _RaisingSink("wave_start")
+            # A consumer that dies mid-route unwinds the reroute...
+            session.sink = _RaisingSink("pass_start")
             with pytest.raises(RuntimeError, match="sink boom"):
                 session.reroute()
-            assert not session.pool_alive
-            assert session.pool_pids == []
-            assert not session.workspace.delta_active
-            assert multiprocessing.active_children() == []
-            # The session survives cold: a reroute with a sane sink
-            # finishes the interrupted ECO.
+            # ...and a reroute with a sane sink finishes the ECO.
             session.sink = RingBufferSink(capacity=65536)
             response = session.reroute()
             assert response.result.complete
-        assert not session.pool_alive
-        assert multiprocessing.active_children() == []
+            assert_workspace_consistent(session.workspace)
 
 
 @pytest.mark.slow
-class TestKeptPoolParity:
-    def test_pool_survives_mutate_reroute_cycles(self):
-        sink = RingBufferSink(capacity=65536)
-        config = RouterConfig(workers=2, pool_auto_serial=False, audit=True)
+class TestMoveRerouteCycles:
+    def test_audited_cycles_stay_complete(self):
+        config = RouterConfig(audit=True)
         board = make_titan_board("kdj11_4l", scale=0.30, seed=7)
         connections = Stringer(board).string_all()
         request = RouteRequest(
-            board=board, connections=connections, config=config, sink=sink
+            board=board, connections=connections, config=config
         )
         response = route(request)
         assert response.result.complete
@@ -572,16 +522,7 @@ class TestKeptPoolParity:
                 session.move_part(part_id, dest)
                 response = session.reroute()
                 assert response.result.complete
-                # The kept pool stayed coherent: no worker had to be
-                # retried or respawned to absorb the ECO delta.
-                assert response.result.worker_retries == 0
-                assert response.counters.get("worker_respawns", 0) == 0
-                assert session.pool_alive
             report = check_connectivity(
                 board, session.workspace, session.connections
             )
             assert report.fully_connected
-        assert not session.pool_alive
-        # One pool for the cold route, one adopted across both reroutes.
-        starts = [e for e in sink.events if e.kind == "pool_start"]
-        assert len(starts) == 2

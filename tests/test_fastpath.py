@@ -10,6 +10,10 @@ exact equality — no tolerances anywhere.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +57,31 @@ class TestResolveBackend:
             fastpath.resolve_backend("numpy")
 
 
+class TestLazyNumpy:
+    def test_numpy_loads_with_a_numpy_backend_not_at_startup(self):
+        code = (
+            "import sys, repro.cli, repro.serve.server, repro.eco\n"
+            "print('numpy' in sys.modules)\n"
+            "from repro.board.board import Board\n"
+            "from repro.channels.workspace import RoutingWorkspace\n"
+            "from repro.core.fastpath import HAVE_NUMPY\n"
+            "if HAVE_NUMPY:\n"
+            "    board = Board.create(via_nx=4, via_ny=4, n_signal_layers=2)\n"
+            "    RoutingWorkspace(board).set_backend('numpy')\n"
+            "print(('numpy' in sys.modules) == HAVE_NUMPY)\n"
+        )
+        package = os.path.dirname(os.path.dirname(fastpath.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.dirname(package), env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.split() == ["False", "True"]
+
+
 SPAN = 60
 
 # (start, length, owner) mapped to a segment inside [0, SPAN).
@@ -63,6 +92,9 @@ segment = st.tuples(
 
 @requires_numpy
 class TestFreeGapsVectorized:
+    def setup_method(self):
+        fastpath.load_numpy()
+
     @given(
         segments=st.lists(segment, max_size=24),
         window=st.tuples(

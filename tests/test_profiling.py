@@ -82,32 +82,6 @@ class TestReentrantMeasure:
         assert profile.phases["x"].seconds >= 0.005
 
 
-class TestMerge:
-    def test_merge_sums_calls_and_seconds(self):
-        a = RouterProfile()
-        with a.measure("lee"):
-            time.sleep(0.002)
-        b = RouterProfile()
-        with b.measure("lee"):
-            time.sleep(0.002)
-        with b.measure("merge"):
-            pass
-        before = a.phases["lee"].seconds
-        added = b.phases["lee"].seconds
-        assert a.merge(b) is a
-        assert a.phases["lee"].calls == 2
-        assert a.phases["lee"].seconds == pytest.approx(before + added)
-        assert a.phases["merge"].calls == 1
-
-    def test_merge_empty_is_noop(self):
-        a = RouterProfile()
-        with a.measure("x"):
-            pass
-        rows_before = a.rows()
-        a.merge(RouterProfile())
-        assert a.rows() == rows_before
-
-
 class TestRouterIntegration:
     def test_profile_populated_by_route(self):
         board = generate_board(BoardSpec(via_nx=36, via_ny=36, seed=6))

@@ -8,17 +8,13 @@ wall-time ratios.  The two modes legitimately produce different (both
 valid) routes, so the contract between them is *completion*: goal mode
 must route at least as many connections as classic on the gate board.
 
-Parity *within* goal mode is asserted unconditionally: the python and
-numpy backends give bit-identical fingerprints (routed_by, state digest,
-expansions); skipped without numpy.
-
 A warm-bounds ECO leg reroutes an edited session and checks the
 :class:`repro.core.bounds.LowerBoundCache` carries across the edit: a
 no-op reroute takes the fast path (zero lookups) and a one-net edit
 rebuilds strictly fewer entries than the cold route did.
 
-Timing discipline matches ``bench_fastpath.py``: ABBA rounds,
-best-of-N per leg, cyclic GC disabled around the measured region.
+Timing discipline: ABBA rounds, best-of-N per leg, cyclic GC
+disabled around the measured region.
 CI's gates fail the run when, on the gate board, goal mode routes
 fewer connections than classic, expands more than
 ``--gate-expansions`` times classic's Lee expansions, or takes more
@@ -56,7 +52,6 @@ except ImportError:  # run as a script: benchmarks/ is sys.path[0]
 
 from repro.api import RouteRequest, begin_eco, route
 from repro.channels.workspace import RoutingWorkspace
-from repro.core.fastpath import HAVE_NUMPY
 from repro.core.router import RouterConfig, make_router
 from repro.stringer import Stringer
 from repro.workloads import make_titan_board
@@ -84,14 +79,12 @@ ECO_SEED = 3
 TIMING_REPEATS = 5
 
 
-def _route_once(
-    name: str, search: str, backend: str = "python"
-) -> Tuple[float, Dict]:
+def _route_once(name: str, search: str) -> Tuple[float, Dict]:
     """Route one fresh board; returns (seconds, fingerprint)."""
     board = make_titan_board(name, scale=SUITE_SCALE, seed=SUITE_SEED)
     connections = Stringer(board).string_all()
     workspace = RoutingWorkspace(board)
-    config = RouterConfig(search=search, backend=backend)
+    config = RouterConfig(search=search)
     router = make_router(board, config, workspace=workspace)
     gc.collect()
     gc.disable()
@@ -156,27 +149,6 @@ def _compare_board(name: str) -> Dict:
         flush=True,
     )
     return row
-
-
-def _goal_parity(name: str) -> Dict:
-    """Backend parity within goal mode on one board."""
-    _, py_fp = _route_once(name, "goal", backend="python")
-    backend_parity = None
-    if HAVE_NUMPY:
-        _, np_fp = _route_once(name, "goal", backend="numpy")
-        backend_parity = py_fp == np_fp
-        if not backend_parity:
-            for key in py_fp:
-                if py_fp[key] != np_fp[key]:
-                    print(
-                        f"  goal backend mismatch {key}: "
-                        f"python={py_fp[key]!r} numpy={np_fp[key]!r}",
-                        flush=True,
-                    )
-    return {
-        "board": name,
-        "backend_parity": backend_parity,  # None = numpy unavailable
-    }
 
 
 def _eco_warm_bounds() -> Dict:
@@ -250,7 +222,6 @@ def run_benchmark(smoke: bool = False) -> Dict:
     """The whole benchmark; returns the JSON-ready report dict."""
     boards = SMOKE_BOARDS if smoke else FULL_BOARDS
     rows = [_compare_board(name) for name in boards]
-    parity = _goal_parity("kdj11_2l")
     eco = _eco_warm_bounds()
     return {
         "experiment": "goal",
@@ -261,7 +232,6 @@ def run_benchmark(smoke: bool = False) -> Dict:
         "suite_seed": SUITE_SEED,
         "timing_repeats": TIMING_REPEATS,
         "boards": rows,
-        "parity": parity,
         "eco": eco,
     }
 
@@ -307,9 +277,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         f.write("\n")
 
     failures: List[str] = []
-    parity = report["parity"]
-    if parity["backend_parity"] is False:
-        failures.append("goal-mode python/numpy parity broken")
     if not report["eco"]["warm_reuse"]:
         failures.append(
             "ECO warm-bound reuse broken "
@@ -377,7 +344,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             for row in report["boards"]
         ),
         note=(
-            f"goal parity: backend={parity['backend_parity']}; "
             f"ECO warm reuse: "
             f"cold_rebuilds={report['eco']['cold_rebuilds']}, "
             f"noop_lookups={report['eco']['noop_lookups']}, "

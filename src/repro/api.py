@@ -142,7 +142,7 @@ class RouteResponse:
     stopped_reason: Optional[str]
     #: Wall-clock seconds per router phase (zero_via/one_via/lee/...).
     timings: Dict[str, float] = field(default_factory=dict)
-    #: Profile counters: gap cache hits/misses, search cap hits, ...
+    #: Profile counters: gap-list hits/misses, search cap hits, ...
     counters: Dict[str, int] = field(default_factory=dict)
     #: Total wall-clock seconds spent inside ``route()``.
     elapsed_seconds: float = 0.0

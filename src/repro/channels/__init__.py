@@ -9,7 +9,6 @@ magnitude more frequent than updates.
 
 from repro.channels.alternatives import MovingHeadChannel, TreeChannel
 from repro.channels.channel import Channel, ChannelConflictError
-from repro.channels.gap_cache import GapCache
 from repro.channels.layer_data import LayerData
 from repro.channels.segment import FILL_OWNER, Segment, is_rippable_owner
 from repro.channels.via_map import ViaMap
@@ -19,7 +18,6 @@ __all__ = [
     "Channel",
     "ChannelConflictError",
     "FILL_OWNER",
-    "GapCache",
     "LayerData",
     "MovingHeadChannel",
     "RouteRecord",

@@ -53,17 +53,6 @@ class _QueryMixin:
             gaps.append((cursor, hi))
         return gaps
 
-    def owner_set(self) -> FrozenSet[int]:
-        """All owners with at least one segment in this channel."""
-        return frozenset(seg.owner for seg in self)
-
-    def has_any_owner(self, owners: FrozenSet[int]) -> bool:
-        """True if any of ``owners`` has at least one segment here."""
-        for seg in self:
-            if seg.owner in owners:
-                return True
-        return False
-
 
 class _ListNode:
     """Doubly-linked list node holding one segment."""
@@ -90,9 +79,6 @@ class MovingHeadChannel(_QueryMixin):
         self._first: Optional[_ListNode] = None
         self._head: Optional[_ListNode] = None  # moving locality pointer
         self._count = 0
-        #: Mutation counter; same protocol as ``Channel.generation`` so
-        #: the alternative structures stay drop-in channel factories.
-        self.generation = 0
 
     def __len__(self) -> int:
         return self._count
@@ -149,8 +135,6 @@ class MovingHeadChannel(_QueryMixin):
             pieces.append((cursor, hi))
         for plo, phi in pieces:
             self._insert(plo, phi, owner)
-        if pieces:
-            self.generation += 1
         return pieces
 
     def _insert(self, lo: int, hi: int, owner: int) -> None:
@@ -194,7 +178,6 @@ class MovingHeadChannel(_QueryMixin):
                 node.next.prev = node.prev
             self._head = node.prev or node.next
             self._count -= 1
-            self.generation += 1
             return
         raise KeyError(f"no segment [{lo},{hi}] owned by {owner}")
 
@@ -223,8 +206,6 @@ class TreeChannel(_QueryMixin):
     def __init__(self) -> None:
         self._root: Optional[_TreeNode] = None
         self._count = 0
-        #: Mutation counter; same protocol as ``Channel.generation``.
-        self.generation = 0
 
     def __len__(self) -> int:
         return self._count
@@ -280,8 +261,6 @@ class TreeChannel(_QueryMixin):
         for plo, phi in pieces:
             self._root = self._insert(self._root, plo, phi, owner)
             self._count += 1
-        if pieces:
-            self.generation += 1
         return pieces
 
     def _insert(
@@ -310,7 +289,6 @@ class TreeChannel(_QueryMixin):
         segments = [s for s in self if not (s.lo == lo and s.hi == hi)]
         self._root = None
         self._count = 0
-        self.generation += 1
         for seg in segments:
             self._root = self._insert(self._root, seg.lo, seg.hi, seg.owner)
             self._count += 1

@@ -34,35 +34,12 @@ class ChannelConflictError(ValueError):
 class Channel:
     """Used segments along one grid line, sorted and disjoint."""
 
-    __slots__ = (
-        "_los",
-        "_his",
-        "_owners",
-        "_owner_counts",
-        "generation",
-        "array_mirror",
-    )
+    __slots__ = ("_los", "_his", "_owners")
 
     def __init__(self) -> None:
         self._los: List[int] = []
         self._his: List[int] = []
         self._owners: List[int] = []
-        #: Generation-stamped ``(generation, lo array, hi array)`` mirror
-        #: of the segment bounds, built lazily by the fastpath free-gap
-        #: kernel (:func:`repro.core.fastpath.free_gaps_vectorized`) and
-        #: discarded whenever the generation moves on.
-        self.array_mirror: Optional[tuple] = None
-        #: owner -> live segment count, maintained by add/remove so
-        #: owner-presence probes (the gap cache's base/passable routing
-        #: decision) cost O(1) per owner instead of a segment scan.
-        self._owner_counts: dict = {}
-        #: Monotonic mutation counter: bumped by every :meth:`add` that
-        #: inserts at least one piece and every successful :meth:`remove`.
-        #: :class:`repro.channels.gap_cache.GapCache` stamps its memoized
-        #: gap lists with this value, so a stale read is impossible as
-        #: long as all mutations go through add/remove (they do: every
-        #: workspace mutation funnels into these two methods).
-        self.generation: int = 0
 
     def __len__(self) -> int:
         return len(self._los)
@@ -114,9 +91,9 @@ class Channel:
         Passable segments count as free space, so gaps merge across them —
         this is how a connection walks over its own vias and traces.
         Works on the parallel arrays directly: this is the hottest probe
-        in the router (every free-gap cache refill lands here), and the
-        per-segment ``Segment`` construction of :meth:`overlapping` was
-        measurable against it.
+        in the router (every free-gap list a search builds lands here),
+        and the per-segment ``Segment`` construction of
+        :meth:`overlapping` was measurable against it.
         """
         if hi < lo:
             return []
@@ -175,26 +152,6 @@ class Channel:
         hi = right if right is not None else (1 << 60)
         return (lo, hi)
 
-    def segment_bounds(self) -> Tuple[List[int], List[int]]:
-        """The raw sorted (lo, hi) bound lists — read-only kernel views.
-
-        Callers must not mutate the returned lists; they are the live
-        arrays behind every probe above.
-        """
-        return self._los, self._his
-
-    def owner_set(self) -> FrozenSet[int]:
-        """All owners with at least one segment in this channel."""
-        return frozenset(self._owner_counts)
-
-    def has_any_owner(self, owners: FrozenSet[int]) -> bool:
-        """True if any of ``owners`` has at least one segment here."""
-        counts = self._owner_counts
-        for owner in owners:
-            if owner in counts:
-                return True
-        return False
-
     def owners_in(
         self, lo: int, hi: int, passable: FrozenSet[int] = NO_PASSABLE
     ) -> set:
@@ -247,10 +204,6 @@ class Channel:
             self._los.insert(i, plo)
             self._his.insert(i, phi)
             self._owners.insert(i, owner)
-        if pieces:
-            counts = self._owner_counts
-            counts[owner] = counts.get(owner, 0) + len(pieces)
-            self.generation += 1
         return pieces
 
     def remove(self, lo: int, hi: int, owner: int) -> None:
@@ -270,13 +223,6 @@ class Channel:
                 del self._los[j]
                 del self._his[j]
                 del self._owners[j]
-                counts = self._owner_counts
-                remaining = counts[owner] - 1
-                if remaining:
-                    counts[owner] = remaining
-                else:
-                    del counts[owner]
-                self.generation += 1
                 return
             j += 1
         raise KeyError(

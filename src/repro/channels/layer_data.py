@@ -16,7 +16,6 @@ from typing import Callable, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.board.layers import Layer
 from repro.channels.channel import Channel
-from repro.channels.gap_cache import GapCache
 from repro.grid.coords import GridPoint, ViaPoint
 from repro.grid.geometry import Box, Orientation
 from repro.grid.routing_grid import RoutingGrid
@@ -48,13 +47,12 @@ class LayerData:
         self.channels: List[Channel] = [
             channel_factory() for _ in range(self.n_channels)
         ]
-        #: Generation-stamped free-gap memo shared by every search on
-        #: this layer (see :mod:`repro.channels.gap_cache`).
-        self.gap_cache = GapCache(self)
-        #: Resolved search backend ("python" or "numpy") consulted by the
-        #: single-layer searches on every dispatch; set through
-        #: :meth:`repro.channels.workspace.RoutingWorkspace.set_backend`.
-        self.backend = "python"
+        #: Free-gap traffic of the single-layer searches on this layer:
+        #: channel gap lists a *Vias* call found already built by an
+        #: earlier call of the same Lee search, and gap lists built with
+        #: ``Channel.free_gaps`` (see :mod:`repro.core.single_layer`).
+        self.gap_hits = 0
+        self.gaps_built = 0
 
     # ------------------------------------------------------------------
     # coordinate mapping

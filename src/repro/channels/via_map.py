@@ -13,11 +13,8 @@ the covering segments (or a MIXED marker) so that a connection can reuse its
 own via sites, and the owner of an actually drilled via.
 
 The count grid is a flat stdlib ``array('i')`` — scalar probes index it
-faster than a numpy array, and it keeps the core numpy-free (numpy is the
-optional ``[fast]`` extra).  The fastpath kernels batch their probes
-through :meth:`ViaMap.available_mask`, which lazily wraps the same buffer
-in a zero-copy numpy view — writes through the scalar path are visible to
-the view immediately, so the two access paths can never disagree.
+faster than a numpy array, and it keeps the core numpy-free.
+:func:`repro.core.single_layer.reachable_vias` reads it inline.
 """
 
 from __future__ import annotations
@@ -48,9 +45,6 @@ class ViaMap:
         self.n_layers = n_layers
         #: Flat row-major (vx * via_ny + vy) cover counts.
         self._count = array("i", [0]) * (via_nx * via_ny)
-        #: Lazy zero-copy numpy view over ``_count`` (None until the
-        #: first :meth:`available_mask` call).
-        self._view = None
         self._sole: Dict[ViaPoint, object] = {}
         self._drilled: Dict[ViaPoint, int] = {}
         #: Instrumentation for the Section 4 claim that availability
@@ -61,9 +55,8 @@ class ViaMap:
         #: Per-via-row / per-via-column mutation generations, bumped by
         #: every cover change at a site in that row/column.  The
         #: :class:`repro.core.bounds.LowerBoundCache` stamps its entries
-        #: with these — the via-grid analogue of ``Channel.generation``
-        #: (both are bumped by the same add/remove-segment funnel), at
-        #: exactly the granularity a target's arrival bands depend on.
+        #: with these: they move at exactly the granularity a target's
+        #: arrival bands depend on.
         self.row_gen = array("l", [0]) * via_ny
         self.col_gen = array("l", [0]) * via_nx
 
@@ -95,50 +88,16 @@ class ViaMap:
     ) -> bool:
         """:meth:`is_available` on bare coordinates.
 
-        The fastpath site collector filters candidates before it builds
-        ``ViaPoint`` objects for the survivors; only the rare covered
-        site pays for a tuple key (which hashes identically to the
-        ``ViaPoint`` NamedTuple keys of the sole-owner dict).
+        The lower-bound band scan probes sites it never turns into
+        ``ViaPoint`` objects; only the rare covered site pays for a tuple
+        key (which hashes identically to the ``ViaPoint`` NamedTuple keys
+        of the sole-owner dict).
         """
         self.probe_count += 1
         if not self._count[vx * self.via_ny + vy]:
             return True
         sole = self._sole.get((vx, vy))
         return sole is not MIXED and sole in passable
-
-    def available_mask(self, vx, vy, passable: FrozenSet[int]):
-        """Vectorized :meth:`is_available` over parallel index arrays.
-
-        ``vx``/``vy`` are equal-length integer ndarrays; returns a bool
-        ndarray.  Bit-identical to per-site :meth:`is_available` calls
-        (``probe_count`` included), evaluated in one fancy-indexed sweep
-        over the zero-copy count view, with only the rare covered sites
-        falling back to the sole-owner dict.
-        """
-        self.probe_count += len(vx)
-        view = self._view
-        if view is None:
-            view = self._grid_view()
-        mask = view[vx, vy] == 0
-        if not mask.all():
-            sole_get = self._sole.get
-            for i in (~mask).nonzero()[0]:
-                # A plain (vx, vy) tuple hashes identically to the
-                # ViaPoint NamedTuple keys of the sole-owner dict.
-                sole = sole_get((int(vx[i]), int(vy[i])))
-                if sole is not MIXED and sole in passable:
-                    mask[i] = True
-        return mask
-
-    def _grid_view(self):
-        """Build (and memoize) the numpy view over the flat counts."""
-        import numpy as np
-
-        view = np.frombuffer(self._count, dtype=np.intc).reshape(
-            self.via_nx, self.via_ny
-        )
-        self._view = view
-        return view
 
     def drilled_owner(self, via: ViaPoint) -> Optional[int]:
         """Owner of the via drilled at the site, or None."""

@@ -76,7 +76,6 @@ class RoutingWorkspace:
         board: Board,
         channel_factory: Callable[[], Channel] = Channel,
         install_pins: bool = True,
-        gap_cache: bool = True,
     ) -> None:
         self.board = board
         self.grid = board.grid
@@ -84,11 +83,6 @@ class RoutingWorkspace:
             LayerData(layer, board.grid, channel_factory)
             for layer in board.stack.signal_layers
         ]
-        if not gap_cache:
-            # Ablation/benchmark switch: every gap-list request recomputes
-            # (the pre-cache behaviour), so A/B runs share one code path.
-            for layer in self.layers:
-                layer.gap_cache.enabled = False
         self.via_map = ViaMap(
             board.grid.via_nx, board.grid.via_ny, len(self.layers)
         )
@@ -325,48 +319,27 @@ class RoutingWorkspace:
                 for seg in channel:
                     yield layer_index, channel_index, seg
 
-    def set_backend(self, backend: str) -> None:
-        """Select the resolved search backend for every layer.
-
-        ``backend`` must already be resolved ("python" or "numpy" — see
-        :func:`repro.core.fastpath.resolve_backend`); the single-layer
-        searches dispatch on ``layer.backend`` at every call.  Selecting
-        "numpy" imports it (:func:`repro.core.fastpath.load_numpy`).
-        """
-        if backend not in ("python", "numpy"):
-            raise ValueError(
-                f"set_backend wants a resolved backend, got {backend!r}"
-            )
-        if backend == "numpy":
-            from repro.core.fastpath import load_numpy
-
-            load_numpy()
-        for layer in self.layers:
-            layer.backend = backend
-
-    @property
-    def backend(self) -> str:
-        """The resolved backend the layers are currently dispatching on."""
-        return self.layers[0].backend if self.layers else "python"
-
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
 
     def gap_cache_stats(self) -> Tuple[int, int, int]:
-        """Aggregate (hits, misses, bypassed) over every layer's cache."""
-        hits = sum(layer.gap_cache.hits for layer in self.layers)
-        misses = sum(layer.gap_cache.misses for layer in self.layers)
-        bypassed = sum(layer.gap_cache.bypassed for layer in self.layers)
-        return hits, misses, bypassed
+        """Free-gap traffic summed over the layers: (hits, misses, 0).
+
+        Hits are channel gap lists a Lee search's *Vias* calls found in
+        the search's own memo; misses are gap lists built.  The third
+        slot is always 0; it keeps the tuple shape callers unpack.
+        """
+        hits = sum(layer.gap_hits for layer in self.layers)
+        built = sum(layer.gaps_built for layer in self.layers)
+        return hits, built, 0
 
     @property
     def lower_bounds(self):
         """The goal-mode lower-bound cache, built on first use.
 
-        Shares the workspace's lifetime the way the per-layer gap caches
-        do; ECO edits invalidate entries purely through the via map's
-        row and column generation stamps.
+        Shares the workspace's lifetime; ECO edits invalidate entries
+        purely through the via map's row and column generation stamps.
         """
         if self._lower_bounds is None:
             from repro.core.bounds import LowerBoundCache

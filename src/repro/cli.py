@@ -27,7 +27,6 @@ from typing import List, Optional
 from repro.analysis import format_table, table1_row
 from repro.channels.workspace import RoutingWorkspace
 from repro.core.bounds import SEARCH_MODES
-from repro.core.fastpath import BACKENDS
 from repro.core.router import GreedyRouter, RouterConfig, make_router
 from repro.io import (
     FORMAT_KICAD,
@@ -74,9 +73,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
     from repro.core.budget import STOP_DEADLINE, RouteBudget
 
     config = RouterConfig(radius=args.radius, cost=args.cost)
-    if args.backend is not None:
-        # --backend forces it; otherwise the GRR_BACKEND env default holds.
-        config = dataclasses.replace(config, backend=args.backend)
     if args.search is not None:
         # --search forces it; otherwise the GRR_SEARCH env default holds.
         config = dataclasses.replace(config, search=args.search)
@@ -186,13 +182,10 @@ def _print_profile(profile) -> None:
         )
     hits = profile.counters.get("gap_cache_hits", 0)
     misses = profile.counters.get("gap_cache_misses", 0)
-    bypassed = profile.counters.get("gap_cache_bypassed", 0)
-    total = hits + misses
-    if total or bypassed:
-        rate = f"{100.0 * hits / total:.1f}% hit rate" if total else "no memoized traffic"
+    if hits or misses:
         print(
-            f"  gap cache: {hits} hits / {misses} misses / "
-            f"{bypassed} bypassed ({rate})"
+            f"  gap lists: {hits} reused / {misses} built "
+            f"({100.0 * hits / (hits + misses):.1f}% reused)"
         )
     lb_hits = profile.counters.get("lb_hits", 0)
     lb_rebuilds = profile.counters.get("lb_rebuilds", 0)
@@ -206,7 +199,7 @@ def _print_profile(profile) -> None:
         )
     for counter, amount in sorted(profile.counters.items()):
         if counter not in (
-            "gap_cache_hits", "gap_cache_misses", "gap_cache_bypassed",
+            "gap_cache_hits", "gap_cache_misses",
             "lb_hits", "lb_rebuilds", "lb_prunes", "heap_stale",
         ):
             print(f"  {counter}: {amount}")
@@ -332,8 +325,6 @@ def _cmd_eco(args: argparse.Namespace) -> int:
     board = loaded.board
     connections = list(loaded.connections)
     config = RouterConfig(radius=args.radius, cost=args.cost)
-    if args.backend is not None:
-        config = dataclasses.replace(config, backend=args.backend)
     if args.search is not None:
         config = dataclasses.replace(config, search=args.search)
     if args.timeout is not None or args.per_connection_timeout is not None:
@@ -626,16 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["unit", "distance", "distance_hops"],
     )
     p.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="search kernel backend: 'numpy' uses the vectorized "
-        "fastpath (requires the [fast] extra), 'python' the "
-        "zero-dependency fallback, 'auto' picks numpy when available; "
-        "results are bit-identical either way (default: GRR_BACKEND "
-        "env, else python)",
-    )
-    p.add_argument(
         "--search",
         choices=SEARCH_MODES,
         default=None,
@@ -675,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="print per-phase timings and event counters "
-        "(gap cache hits/misses, search cap hits)",
+        "(gap lists reused/built, search cap hits)",
     )
     p.set_defaults(func=_cmd_route)
 
@@ -763,7 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="distance_hops",
         choices=["unit", "distance", "distance_hops"],
     )
-    p.add_argument("--backend", choices=BACKENDS, default=None)
     p.add_argument("--search", choices=SEARCH_MODES, default=None)
     p.add_argument("--timeout", type=float, metavar="SECS", default=None)
     p.add_argument(

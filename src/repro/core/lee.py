@@ -25,6 +25,7 @@ from repro.core.budget import SEARCH_CHECK_MASK, BudgetTracker
 from repro.core.cost import CostFunction, distance_hops_cost
 from repro.core.single_layer import (
     DEFAULT_MAX_GAPS,
+    GapView,
     SearchStats,
     reachable_vias,
     trace,
@@ -41,6 +42,10 @@ Mark = Tuple[int, Optional[ViaPoint], Optional[int]]
 #: -> the via sites every uncapped ``reachable_vias`` call there returned,
 #: plus the vias those calls expanded (see :func:`_neighbors`).
 StripSites = Dict[Tuple[int, Box], Set[ViaPoint]]
+
+#: One search's full-span free-gap views, one ``{channel: (los, his)}``
+#: dict per layer (see :func:`repro.core.single_layer.reachable_vias`).
+LayerViews = List[Dict[int, GapView]]
 
 #: Weight on the lower bound in goal mode's ``g + W*lb`` heap ordering.
 #: 1 is textbook A*; the hard prunes and the meet bookkeeping use the
@@ -115,6 +120,7 @@ def _neighbors(
     budget: Optional[BudgetTracker] = None,
     clip: Optional[Box] = None,
     strips: Optional[StripSites] = None,
+    views: Optional[LayerViews] = None,
 ) -> List[Tuple[ViaPoint, int]]:
     """All (neighbor via, layer index) pairs reachable in one hop.
 
@@ -131,6 +137,10 @@ def _neighbors(
     wavefront has enumerated that free component once, uncapped, and
     marked every site in it, so the call could only return sites the
     caller drops as already marked.
+
+    ``views`` (one dict per layer, owned by the search) memoizes each
+    channel's full-span free gaps for the whole search; None builds them
+    per call.
     """
     point = workspace.grid.via_to_grid(via)
     result: List[Tuple[ViaPoint, int]] = []
@@ -161,6 +171,7 @@ def _neighbors(
             max_gaps,
             stats,
             budget,
+            None if views is None else views[layer_index],
         )
         if strips is not None and stats.cap_hits == cap_hits:
             # Uncapped: every site in ``found`` shares via's free
@@ -180,7 +191,7 @@ def _back_chain(
     Every via on the chain was inserted into ``marks`` before its children,
     so a missing mark can only mean the table was corrupted after the
     search — raise with enough context to tell *where* the chain broke
-    (a bare KeyError here made backend-parity debugging hopeless).
+    (a bare KeyError here made parity debugging hopeless).
     """
     chain: List[Tuple[ViaPoint, Optional[int]]] = []
     current: Optional[ViaPoint] = via
@@ -234,10 +245,14 @@ def lee_route(
     if passable is None:
         passable = frozenset((conn.conn_id,))
     stats = SearchStats()
+    # The board and ``passable`` stay fixed until the retrace installs
+    # the route, so every Vias call of this search shares one set of
+    # gap views; ``_retrace`` builds its own lists.
+    views: LayerViews = [{} for _ in workspace.layers]
     if bounds is not None:
         return _lee_route_goal(
             workspace, conn, radius, passable, bounds, max_expansions,
-            max_gaps, single_front, sink, budget, stats,
+            max_gaps, single_front, sink, budget, stats, views,
         )
     a, b = conn.a, conn.b
     sources = (a, b)
@@ -296,7 +311,7 @@ def lee_route(
         found_meet = None
         for n, layer_index in _neighbors(
             workspace, p, radius, passable, max_gaps, stats, budget,
-            strips=strips[side],
+            strips=strips[side], views=views,
         ):
             if n in marks[side]:
                 continue
@@ -468,6 +483,7 @@ def _lee_route_goal(
     sink: EventSink,
     budget: Optional[BudgetTracker],
     stats: SearchStats,
+    views: LayerViews,
 ) -> LeeSearchResult:
     """The goal-mode search loop (``RouterConfig.search = "goal"``).
 
@@ -619,7 +635,8 @@ def _lee_route_goal(
                 workspace, p, target, mu - 1 - g_p - manhattan(p, target)
             )
         for n, layer_index in _neighbors(
-            workspace, p, radius, passable, max_gaps, stats, budget, clip
+            workspace, p, radius, passable, max_gaps, stats, budget, clip,
+            views=views,
         ):
             if n in marks[side]:
                 continue

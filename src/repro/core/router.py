@@ -26,7 +26,6 @@ from repro.core.budget import (
     BudgetTracker,
     RouteBudget,
 )
-from repro.core import fastpath
 from repro.core.bounds import SEARCH_MODES, TargetBounds
 from repro.core.cost import COST_FUNCTIONS, CostFunction
 from repro.core.lee import LeeSearchResult, lee_route
@@ -39,7 +38,6 @@ from repro.grid.coords import ViaPoint
 from repro.obs.audit import WorkspaceAuditor
 from repro.obs.events import (
     AuditRun,
-    BackendSelected,
     BoundsStats,
     CacheStats,
     ConnectionFailed,
@@ -63,16 +61,6 @@ CAP_RETRY_FACTOR = 4
 def _audit_default() -> bool:
     """Audit after every pass when ``GRR_AUDIT`` is set (CI's audit tier)."""
     return os.environ.get("GRR_AUDIT", "") not in ("", "0")
-
-
-def _backend_default() -> str:
-    """Search backend from ``GRR_BACKEND`` (CI's backend matrix leg).
-
-    Defaults to the zero-dependency pure-python kernels, *not* "auto":
-    the default path must behave identically whether or not numpy
-    happens to be importable.
-    """
-    return os.environ.get("GRR_BACKEND", "") or "python"
 
 
 def _search_default() -> str:
@@ -123,12 +111,6 @@ class RouterConfig:
     #: raising on any violation.
     #: Defaults on when the ``GRR_AUDIT`` environment variable is set.
     audit: bool = field(default_factory=_audit_default)
-    #: Search-kernel backend for the single-layer hot loops:
-    #: ``"python"`` (the always-available default), ``"numpy"`` (the
-    #: vectorized :mod:`repro.core.fastpath` kernels, bit-identical
-    #: routes), or ``"auto"`` (numpy when installed, else python).
-    #: Defaults from the ``GRR_BACKEND`` environment variable.
-    backend: str = field(default_factory=_backend_default)
     #: Lee wavefront mode: ``"classic"`` (the paper's ``distance *
     #: hops`` heuristic, stop at first meet) or ``"goal"`` (A*-style
     #: ``g + lb`` ordering over the reusable
@@ -144,11 +126,6 @@ class RouterConfig:
             raise ValueError(
                 f"unknown cost function {self.cost!r}; "
                 f"choose from {sorted(COST_FUNCTIONS)}"
-            )
-        if self.backend not in fastpath.BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                f"choose from {fastpath.BACKENDS}"
             )
         if self.search not in SEARCH_MODES:
             raise ValueError(
@@ -189,11 +166,6 @@ class GreedyRouter:
         self.board = board
         self.config = config or RouterConfig()
         self.workspace = workspace or RoutingWorkspace(board)
-        #: The resolved search backend ("python"/"numpy"), applied to
-        #: every workspace layer; raises here — not mid-route — when an
-        #: explicit backend="numpy" has no numpy to dispatch to.
-        self.backend = fastpath.resolve_backend(self.config.backend)
-        self.workspace.set_backend(self.backend)
         #: Routing event stream (repro.obs); the null sink by default.
         self.sink = sink if sink is not None else NULL_SINK
         #: Per-phase CPU profile (Section 12), refreshed by each route().
@@ -229,9 +201,6 @@ class GreedyRouter:
         previous = len(unrouted) + 1
         stalled = 0
         sink = self.sink
-        self.profile.bump(f"backend_{self.backend}", 1)
-        if sink.enabled:
-            sink.emit(BackendSelected(cfg.backend, self.backend))
         cache_before = self.workspace.gap_cache_stats()
         bounds_before = self.workspace.bounds_stats()
         while unrouted and result.passes < cfg.max_passes:
@@ -293,28 +262,19 @@ class GreedyRouter:
     def _note_cache_stats(
         self, before: Tuple[int, int, int], context: str
     ) -> None:
-        """Fold this run's free-gap cache delta into profile counters
-        and emit one :class:`~repro.obs.events.CacheStats` event."""
-        hits_after, misses_after, bypassed_after = (
-            self.workspace.gap_cache_stats()
-        )
+        """Fold this run's free-gap traffic into profile counters and
+        emit one :class:`~repro.obs.events.CacheStats` event."""
+        hits_after, built_after, _ = self.workspace.gap_cache_stats()
         hits = hits_after - before[0]
-        misses = misses_after - before[1]
-        bypassed = bypassed_after - before[2]
+        misses = built_after - before[1]
         if hits or misses:
             self.profile.bump("gap_cache_hits", hits)
             self.profile.bump("gap_cache_misses", misses)
-        if bypassed:
-            self.profile.bump("gap_cache_bypassed", bypassed)
         if self.sink.enabled:
             total = hits + misses
             self.sink.emit(
                 CacheStats(
-                    context,
-                    hits,
-                    misses,
-                    hits / total if total else 0.0,
-                    bypassed,
+                    context, hits, misses, hits / total if total else 0.0
                 )
             )
 

@@ -18,7 +18,7 @@ the board as to the neighboring pin".
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -32,14 +32,13 @@ from typing import (
 )
 
 from repro.channels.layer_data import ChannelPiece, LayerData
-from repro.core import fastpath
 from repro.core.budget import SEARCH_CHECK_MASK
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.budget import BudgetTracker
-from repro.channels.via_map import ViaMap
+from repro.channels.via_map import MIXED, ViaMap
 from repro.grid.coords import GridPoint, ViaPoint
-from repro.grid.geometry import Box
+from repro.grid.geometry import Box, Orientation
 
 #: Identity of a free gap: (channel index, index in the channel's gap list).
 GapKey = Tuple[int, int]
@@ -81,11 +80,9 @@ _COORD_INF = 1 << 62
 class _FreeSpace:
     """Box-clipped free-gap view of one layer region for one search.
 
-    A thin view over the layer's :class:`~repro.channels.gap_cache.
-    GapCache`: the per-channel lists survive across searches there (the
-    board does not change between most searches), while this object only
-    holds the box clip and a per-search ``{channel: list}`` memo so the
-    hot ``gaps()`` call is a single int-keyed dict lookup.
+    Holds the box clip and a per-call ``{channel: list}`` memo of
+    ``Channel.free_gaps`` over the box, so the hot ``gaps()`` call is a
+    single int-keyed dict lookup after a channel's first touch.
     """
 
     def __init__(
@@ -98,7 +95,6 @@ class _FreeSpace:
         self.c_hi = min(c_hi, layer.n_channels - 1)
         self.lo = max(lo, 0)
         self.hi = min(hi, layer.channel_length - 1)
-        self._cache = layer.gap_cache
         self._gaps: Dict[int, List[Tuple[int, int]]] = {}
 
     @property
@@ -114,21 +110,15 @@ class _FreeSpace:
         )
 
     def gaps(self, channel_index: int) -> List[Tuple[int, int]]:
-        """Free gaps of one channel, clipped to the box (cached).
-
-        Repeat reads within this search count as cache hits: they are
-        requests the gap-serving subsystem answered without recomputing,
-        same as a shared-store hit, so the hit/miss counters describe
-        every ``gaps()`` request a search makes.
-        """
+        """Free gaps of one channel, clipped to the box (memoized)."""
         cached = self._gaps.get(channel_index)
         if cached is None:
-            cached = self._cache.gaps(
-                channel_index, self.lo, self.hi, self.passable
+            layer = self.layer
+            cached = layer.channels[channel_index].free_gaps(
+                self.lo, self.hi, self.passable
             )
             self._gaps[channel_index] = cached
-        else:
-            self._cache.hits += 1
+            layer.gaps_built += 1
         return cached
 
     def gap_index_at(self, channel_index: int, coord: int) -> Optional[int]:
@@ -136,8 +126,8 @@ class _FreeSpace:
 
         The gap list is sorted and disjoint, so the candidate is the last
         gap starting at or before ``coord`` — found by bisect, not by
-        scanning from index 0 (this runs at the start of every search and
-        on every Lee neighbor expansion).
+        scanning from index 0 (this runs at the start of every ``trace``
+        and ``obstructions`` search).
         """
         gaps = self.gaps(channel_index)
         i = bisect_right(gaps, (coord, _COORD_INF)) - 1
@@ -195,8 +185,6 @@ def trace(
     fs = _FreeSpace(layer, box, passable)
     if fs.is_empty or not fs.in_box(ca, xa) or not fs.in_box(cb, xb):
         return None
-    if layer.backend != "python":
-        return fastpath.trace_kernel(fs, ca, xa, cb, xb, max_gaps, stats, budget)
     start_index = fs.gap_index_at(ca, xa)
     if start_index is None:
         return None
@@ -292,14 +280,12 @@ def _explore_all(
     start: GapKey,
     max_gaps: int,
     stats: Optional[SearchStats] = None,
-    budget: Optional["BudgetTracker"] = None,
 ) -> Iterator[GapKey]:
     """Enumerate all gaps reachable from ``start``, up to ``max_gaps``.
 
     Counts popped gaps — the same accounting as :func:`trace` — so one
     ``max_gaps`` value caps both search shapes identically.  Hitting the
-    cap (or an exhausted ``budget``) truncates the enumeration and marks
-    ``stats`` as capped.
+    cap truncates the enumeration and marks ``stats`` as capped.
     """
     seen: Set[GapKey] = {start}
     stack = [start]
@@ -309,13 +295,6 @@ def _explore_all(
         key = stack.pop()
         examined += 1
         if examined > max_gaps:
-            capped = True
-            break
-        if (
-            budget is not None
-            and (examined & SEARCH_CHECK_MASK) == 0
-            and budget.search_exceeded()
-        ):
             capped = True
             break
         yield key
@@ -329,6 +308,36 @@ def _explore_all(
         stats.note(examined, capped)
 
 
+#: One channel's full-span free gaps as parallel sorted bound sequences
+#: ``(los, his)`` — the unit of a Lee search's gap views.
+GapView = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+#: ``tuple.__new__`` builds a ``ViaPoint`` without the Python-level
+#: ``NamedTuple.__new__`` frame; the site loop below makes one per
+#: returned site.
+_new_tuple = tuple.__new__
+
+
+def _gap_view(
+    layer: LayerData,
+    views: Dict[int, GapView],
+    channel_index: int,
+    passable: FrozenSet[int],
+) -> GapView:
+    """A channel's full-span gap view from ``views``, built on first touch."""
+    view = views.get(channel_index)
+    if view is None:
+        gaps = layer.channels[channel_index].free_gaps(
+            0, layer.channel_length - 1, passable
+        )
+        view = tuple(zip(*gaps)) if gaps else ((), ())
+        views[channel_index] = view
+        layer.gaps_built += 1
+    else:
+        layer.gap_hits += 1
+    return view
+
+
 def reachable_vias(
     layer: LayerData,
     a: GridPoint,
@@ -338,35 +347,134 @@ def reachable_vias(
     max_gaps: int = DEFAULT_MAX_GAPS,
     stats: Optional[SearchStats] = None,
     budget: Optional["BudgetTracker"] = None,
+    views: Optional[Dict[int, GapView]] = None,
 ) -> List[ViaPoint]:
     """All free via sites reachable from ``a`` on one layer within ``box``.
 
     This is the paper's *Vias* procedure: it defines the "neighbors" of a
     via in the generalized Lee algorithm (Modification 1).  A site counts
     as free when the via map allows drilling for a passable owner.
+
+    ``views`` memoizes this layer's full-span gap lists per channel for
+    one ``passable`` set on an unchanged board: a Lee search passes the
+    same dict to every call it makes on the layer, so each channel's free
+    gaps are computed once per search.  None uses a fresh memo.
+
+    The depth-first search walks those full-span lists and clamps each
+    gap to the box as it is pushed.  That pops exactly the gaps a walk
+    over box-clipped lists pops, in the same order: for a current gap
+    clamped to ``[glo, ghi]`` inside the box, a neighbor's full gap
+    overlaps it iff its clipped gap does (``min(nghi, hi) >= glo`` iff
+    ``nghi >= glo``, since ``hi >= ghi >= glo``, and symmetrically), the
+    clipped list of a channel is a contiguous run of its full list, and
+    clamped extents equal clipped ones.  So the via sites, their order,
+    the :class:`SearchStats`, the cap and budget checkpoints and the via
+    map's ``probe_count`` are those of the clipped walk.
     """
     ca, xa = layer.point_cc(a)
-    fs = _FreeSpace(layer, box, passable)
-    if fs.is_empty or not fs.in_box(ca, xa):
+    c_lo, c_hi, lo, hi = layer.box_cc(box)
+    c_lo = max(c_lo, 0)
+    c_hi = min(c_hi, layer.n_channels - 1)
+    lo = max(lo, 0)
+    hi = min(hi, layer.channel_length - 1)
+    if not (c_lo <= ca <= c_hi and lo <= xa <= hi):
         return []
-    a_via = (
-        layer.grid.grid_to_via(a) if layer.grid.is_via_site(a) else None
-    )
-    if layer.backend != "python":
-        return fastpath.reachable_vias_kernel(
-            fs, ca, xa, a_via, via_map, passable, max_gaps, stats, budget
-        )
-    start_index = fs.gap_index_at(ca, xa)
-    if start_index is None:
+    if views is None:
+        views = {}
+    # This call's channels by offset from the box edge: a list probe on
+    # the hot path, the shared dict only on a channel's first touch.
+    local: List[Optional[GapView]] = [None] * (c_hi - c_lo + 1)
+    los, his = local[ca - c_lo] = _gap_view(layer, views, ca, passable)
+    si = bisect_right(los, xa) - 1
+    if si < 0 or his[si] < xa:
         return []
+    g = layer.grid.grid_per_via
+    horizontal = layer.orientation is Orientation.HORIZONTAL
+    # Via sites in channel coordinates: (via channel, index along it).
+    # ``a``'s own site is never its own neighbor.
+    if ca % g or xa % g:
+        a_vc = a_v = -1
+    else:
+        a_vc, a_v = ca // g, xa // g
+    # Inline ViaMap.is_available: a free site (count zero) is available
+    # to everyone, a covered one only to the passable sole owner.  The
+    # count index of site v on via channel vc is vc * c_step + v * v_step.
+    count = via_map._count
+    sole_get = via_map._sole.get
+    if horizontal:
+        c_step, v_step = 1, via_map.via_ny
+    else:
+        c_step, v_step = via_map.via_ny, 1
+    probes = 0
     found: List[ViaPoint] = []
-    for c, gi in _explore_all(fs, (ca, start_index), max_gaps, stats, budget):
-        if not layer.is_via_channel(c):
-            continue
-        glo, ghi = fs.gaps(c)[gi]
-        for via in layer.via_sites_in(c, glo, ghi):
-            if via != a_via and via_map.is_available(via, passable):
-                found.append(via)
+    append = found.append
+    stride = layer.channel_length + 1
+    seen = {ca * stride + si}
+    seen_add = seen.add
+    stack = [(ca, max(los[si], lo), min(his[si], hi))]
+    pop = stack.pop
+    push = stack.append
+    examined = 0
+    capped = False
+    while stack:
+        c, glo, ghi = pop()
+        examined += 1
+        if examined > max_gaps:
+            capped = True
+            break
+        if (
+            budget is not None
+            and (examined & SEARCH_CHECK_MASK) == 0
+            and budget.search_exceeded()
+        ):
+            capped = True
+            break
+        if not c % g:
+            v_lo = (glo + g - 1) // g
+            v_hi = ghi // g
+            if v_lo <= v_hi:
+                vc = c // g
+                skip = a_v if vc == a_vc else -1
+                probes += v_hi - v_lo + 1
+                if v_lo <= skip <= v_hi:
+                    probes -= 1
+                flat = vc * c_step + v_lo * v_step
+                for v in range(v_lo, v_hi + 1):
+                    if v != skip:
+                        site = (v, vc) if horizontal else (vc, v)
+                        if not count[flat]:
+                            append(_new_tuple(ViaPoint, site))
+                        else:
+                            sole = sole_get(site)
+                            if sole is not MIXED and sole in passable:
+                                append(_new_tuple(ViaPoint, site))
+                    flat += v_step
+        for nc in (c - 1, c + 1):
+            if nc < c_lo or nc > c_hi:
+                continue
+            view = local[nc - c_lo]
+            if view is None:
+                view = local[nc - c_lo] = _gap_view(
+                    layer, views, nc, passable
+                )
+            nlos, nhis = view
+            i = bisect_left(nhis, glo)
+            j = bisect_right(nlos, ghi, i)
+            base = nc * stride
+            for ngi in range(i, j):
+                key = base + ngi
+                if key not in seen:
+                    seen_add(key)
+                    nglo = nlos[ngi]
+                    nghi = nhis[ngi]
+                    push((
+                        nc,
+                        nglo if nglo > lo else lo,
+                        nghi if nghi < hi else hi,
+                    ))
+    via_map.probe_count += probes
+    if stats is not None:
+        stats.note(examined, capped)
     return found
 
 

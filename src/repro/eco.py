@@ -9,12 +9,14 @@ touch:
 * **Surviving routes** stay installed — the reroute only routes the
   residue, because the pass loop already skips connections the
   workspace reports as routed.
-* **Warm gap-cache entries** survive — mutations go through the same
-  channel primitives routing uses, so generations bump only on touched
-  channels and the generation-stamped :class:`~repro.channels.gap_cache.
-  GapCache` keeps serving the rest (Ahrens et al., arXiv:2111.06169
-  make the same observation for incremental queries: reuse, don't
-  rebuild).
+* **Warm lower bounds** survive — mutations go through the same
+  channel primitives routing uses, so the via map's row and column
+  generations move only where an edit lands, and goal-mode
+  :class:`~repro.core.bounds.LowerBoundCache` entries elsewhere keep
+  serving (Ahrens et al., arXiv:2111.06169 make the same observation
+  for incremental queries: reuse, don't rebuild).  Free-gap lists need
+  no such care: each Lee search builds its own from the board as it
+  stands.
 
 The invalidation rule is ownership-based, computed from the workspace's
 channel/via bookkeeping:

@@ -22,11 +22,10 @@ kind                emitted when
 ``failed``          a connection exhausts every strategy and rip-up round
 ``improve``         the improvement pass re-routes one detour
 ``audit``           a workspace audit ran (violation count included)
-``cache_stats``     free-gap cache hit/miss totals for a routing phase
+``cache_stats``     free-gap list reuse/build totals for a routing phase
 ``bounds_stats``    lower-bound cache hit/rebuild totals (goal search)
 ``budget_checkpoint``  a timed routing run passed a coarse checkpoint
 ``budget_exhausted``   a wall-clock budget scope ran out (once per scope)
-``backend_selected``  a router resolved and applied its search backend
 ``serve_accept``    the routing service received a job-creating request
 ``serve_admit``     the admission controller let a job start routing
 ``serve_reject``    an overloaded service answered 429 + retry-after
@@ -210,17 +209,16 @@ class BudgetExhausted(RouteEvent):
 
 @dataclass(frozen=True)
 class CacheStats(RouteEvent):
-    """Free-gap cache totals for one routing phase (``repro.channels.
-    gap_cache``): requests served without vs. with a recompute, plus the
-    small-channel requests that bypassed memoization entirely (neither
-    hits nor misses; excluded from ``hit_rate``)."""
+    """Free-gap traffic of one routing phase (``repro.core.
+    single_layer``): channel gap lists a Lee search's *Vias* calls found
+    in the search's own memo (``hits``) vs. gap lists built with
+    ``Channel.free_gaps`` by any single-layer search (``misses``)."""
 
     kind: ClassVar[str] = "cache_stats"
     context: str
     hits: int
     misses: int
     hit_rate: float
-    bypassed: int = 0
 
 
 @dataclass(frozen=True)
@@ -236,19 +234,6 @@ class BoundsStats(RouteEvent):
     hits: int
     rebuilds: int
     hit_rate: float
-
-
-@dataclass(frozen=True)
-class BackendSelected(RouteEvent):
-    """A router resolved its configured search backend and applied it to
-    the workspace: ``requested`` is the ``RouterConfig.backend`` value
-    ("auto" included), ``selected`` the resolved kernel set actually
-    dispatching ("python" or "numpy").  Emitted once per ``route()``
-    call, so traces record which backend produced every route."""
-
-    kind: ClassVar[str] = "backend_selected"
-    requested: str
-    selected: str
 
 
 @dataclass(frozen=True)

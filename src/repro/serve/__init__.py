@@ -7,8 +7,7 @@ against boards it has already routed — so this package keeps the
 expensive state alive between HTTP calls:
 
 * :class:`SessionManager` holds named warm :class:`~repro.eco.EcoSession`
-  objects (routed workspaces, graduated gap caches) with idle-TTL
-  eviction;
+  objects (routed workspaces) with idle-TTL eviction;
 * :class:`AdmissionController` bounds concurrent routing jobs — a full
   queue answers 429 + Retry-After instead of queueing without bound —
   and the server derives each job's :class:`~repro.core.budget.

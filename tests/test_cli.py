@@ -113,6 +113,16 @@ class TestInputErrors:
         assert "board lacks" in capsys.readouterr().err
         assert not os.path.exists(files["routes"])
 
+    @pytest.mark.parametrize("command", ["route", "eco"])
+    def test_backend_flag_is_gone(self, files, command, capsys):
+        args = [command, files["board"], files["conns"], files["routes"]]
+        if command == "eco":
+            args.append(files["routes"])
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + ["--backend", "python"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
 
 class TestTraceAndAudit:
     def test_route_with_trace_and_audit(self, files, tmp_path, capsys):

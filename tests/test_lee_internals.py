@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import repro.core.router as router_module
 from repro.board.board import Board
+from repro.channels.channel import Channel
 from repro.channels.workspace import RoutingWorkspace
-from repro.core import fastpath, lee
+from repro.core import lee
 from repro.core.lee import _back_chain, _neighbors, _strip_axis, lee_route
 from repro.core.router import RouterConfig, make_router
 from repro.core.single_layer import SearchStats
@@ -308,35 +309,91 @@ class TestStripMapExactness:
     def test_kdj11_2l(self):
         board = make_titan_board("kdj11_2l", scale=0.30, seed=1)
         connections = Stringer(board).string_all()
-        backends = ["python"] + (["numpy"] if fastpath.HAVE_NUMPY else [])
         runs = {}
-        for backend in backends:
-            for use_map in (True, False):
-                ws = RoutingWorkspace(board)
-                # The map serves the classic search only; pin it against
-                # a GRR_SEARCH default.
-                config = RouterConfig(backend=backend, search="classic")
-                router = make_router(board, config, ws)
-                with contextlib.ExitStack() as stack:
-                    if not use_map:
-                        stack.enter_context(mock.patch.object(
-                            lee, "_neighbors", _neighbors_without_map
-                        ))
-                    results = _lee_results(lambda: router.route(connections))
-                runs[backend, use_map] = (results, ws.state_digest())
-        for backend in backends:
-            (with_map, digest), (without_map, digest_without) = (
-                runs[backend, True], runs[backend, False]
+        for use_map in (True, False):
+            ws = RoutingWorkspace(board)
+            # The map serves the classic search only; pin it against a
+            # GRR_SEARCH default.
+            router = make_router(board, RouterConfig(search="classic"), ws)
+            with contextlib.ExitStack() as stack:
+                if not use_map:
+                    stack.enter_context(mock.patch.object(
+                        lee, "_neighbors", _neighbors_without_map
+                    ))
+                results = _lee_results(lambda: router.route(connections))
+            runs[use_map] = (results, ws.state_digest())
+        (with_map, digest), (without_map, digest_without) = (
+            runs[True], runs[False]
+        )
+        _assert_exact(with_map, without_map)
+        assert digest == digest_without
+        # The skips fired: this board re-enumerates known components.
+        assert sum(r.gaps_examined for r in with_map) < sum(
+            r.gaps_examined for r in without_map
+        )
+
+
+class TestGapViews:
+    """One Lee search builds each channel's full-span gap list once, and
+    its retrace, which installs segments, builds its own lists."""
+
+    @pytest.mark.parametrize("search", ["classic", "goal"])
+    def test_search_builds_each_gap_list_once(self, search):
+        board = make_titan_board("kdj11_2l", scale=0.30, seed=1)
+        connections = Stringer(board).string_all()
+        ws = RoutingWorkspace(board)
+        # Zero- and one-via routes first, so the Lee search below runs on
+        # a congested board and expands many vias.
+        pending = make_router(
+            board, RouterConfig(enable_lee=False, enable_ripup=False), ws
+        ).route(connections).failed
+        conn = next(c for c in connections if c.conn_id in pending)
+        passable = _passable(conn)
+        bounds = None
+        if search == "goal":
+            bounds = (
+                ws.lower_bounds.lookup(conn.b, passable, 1),
+                ws.lower_bounds.lookup(conn.a, passable, 1),
             )
-            _assert_exact(with_map, without_map)
-            assert digest == digest_without
-            # The skips fired: this board re-enumerates known components.
-            assert sum(r.gaps_examined for r in with_map) < sum(
-                r.gaps_examined for r in without_map
-            )
-        # Both backends skip the same calls, so SearchStats agree exactly.
-        if "numpy" in backends:
-            assert runs["python", True] == runs["numpy", True]
+        where = {
+            id(channel): (layer_index, channel_index)
+            for layer_index, layer in enumerate(ws.layers)
+            for channel_index, channel in enumerate(layer.channels)
+        }
+        builds = []  # ((layer, channel), lo, hi, inside _retrace)
+        retracing = []
+        real_free_gaps = Channel.free_gaps
+        real_retrace = lee._retrace
+
+        def spy_free_gaps(channel, lo, hi, passable=frozenset()):
+            builds.append((where[id(channel)], lo, hi, bool(retracing)))
+            return real_free_gaps(channel, lo, hi, passable)
+
+        def spy_retrace(*args, **kwargs):
+            retracing.append(True)
+            try:
+                return real_retrace(*args, **kwargs)
+            finally:
+                retracing.pop()
+
+        hits_before = ws.gap_cache_stats()[0]
+        with mock.patch.object(Channel, "free_gaps", spy_free_gaps), \
+                mock.patch.object(lee, "_retrace", spy_retrace):
+            result = lee_route(ws, conn, passable=passable, bounds=bounds)
+        assert result.routed and result.expansions > 1
+        searched = [key for key, _, _, retrace in builds if not retrace]
+        for key, lo, hi, retrace in builds:
+            if not retrace:
+                # Outside the retrace only the Vias views build lists.
+                assert (lo, hi) == (0, ws.layers[key[0]].channel_length - 1)
+        assert searched
+        assert len(searched) == len(set(searched))
+        # Later Vias calls of the search read lists earlier ones built.
+        assert ws.gap_cache_stats()[0] > hits_before
+        # The retrace rebuilds lists of channels the search had viewed.
+        assert {key for key, _, _, retrace in builds if retrace} & set(
+            searched
+        )
 
 
 class TestBackChain:

@@ -168,10 +168,9 @@ class TestRouterEmission:
         result = router.route([conn])
         assert result.complete
         kinds = [e.kind for e in sink]
-        # The run opens with the backend announcement, then the passes.
-        assert kinds[0] == "backend_selected"
-        assert kinds[1] == "pass_start"
-        # The run closes with the free-gap cache summary, right after
+        # The run opens with the first pass.
+        assert kinds[0] == "pass_start"
+        # The run closes with the free-gap traffic summary, right after
         # the final pass_end.
         assert kinds[-1] == "cache_stats"
         assert kinds[-2] == "pass_end"
@@ -194,5 +193,4 @@ class TestRouterEmission:
         records = [json.loads(line) for line in buf.getvalue().splitlines()]
         assert records, "trace must not be empty"
         assert all("event" in r for r in records)
-        assert records[0]["event"] == "backend_selected"
-        assert records[1]["event"] == "pass_start"
+        assert records[0]["event"] == "pass_start"

@@ -33,6 +33,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             RouterConfig(radius=-1)
 
+    def test_backend_knob_is_gone(self):
+        # One search path: the numpy backend and its knob were removed.
+        with pytest.raises(TypeError):
+            RouterConfig(backend="python")
+
 
 class TestStrategyEscalation:
     def test_straight_uses_zero_via(self, board):

@@ -235,10 +235,9 @@ def reroute(session, budget: Optional[RouteBudget] = None) -> RouteResponse:
     """Incrementally reroute an ECO session's pending connections.
 
     The incremental entry point beside :func:`route`: surviving routes
-    and warm gap-cache entries are reused, and only connections the
-    session's mutations invalidated (plus anything that was already
-    unrouted) are routed.  Shares
-    ``route()``'s degradation contract — a ``budget`` that runs out
-    yields a partial :class:`RouteResponse`, never an exception.
+    are reused, and only connections the session's mutations
+    invalidated (plus anything that was already unrouted) are routed.
+    Shares ``route()``'s degradation contract — a ``budget`` that runs
+    out yields a partial :class:`RouteResponse`, never an exception.
     """
     return session.reroute(budget=budget)

@@ -52,13 +52,6 @@ class ViaMap:
         #: than updates" (measured by benchmarks/bench_via_map.py).
         self.probe_count = 0
         self.update_count = 0
-        #: Per-via-row / per-via-column mutation generations, bumped by
-        #: every cover change at a site in that row/column.  The
-        #: :class:`repro.core.bounds.LowerBoundCache` stamps its entries
-        #: with these: they move at exactly the granularity a target's
-        #: arrival bands depend on.
-        self.row_gen = array("l", [0]) * via_ny
-        self.col_gen = array("l", [0]) * via_nx
 
     # ------------------------------------------------------------------
     # probes (the hot path)
@@ -81,22 +74,6 @@ class ViaMap:
         if not self._count[via.vx * self.via_ny + via.vy]:
             return True
         sole = self._sole.get(via)
-        return sole is not MIXED and sole in passable
-
-    def is_available_xy(
-        self, vx: int, vy: int, passable: FrozenSet[int]
-    ) -> bool:
-        """:meth:`is_available` on bare coordinates.
-
-        The lower-bound band scan probes sites it never turns into
-        ``ViaPoint`` objects; only the rare covered site pays for a tuple
-        key (which hashes identically to the ``ViaPoint`` NamedTuple keys
-        of the sole-owner dict).
-        """
-        self.probe_count += 1
-        if not self._count[vx * self.via_ny + vy]:
-            return True
-        sole = self._sole.get((vx, vy))
         return sole is not MIXED and sole in passable
 
     def drilled_owner(self, via: ViaPoint) -> Optional[int]:
@@ -138,8 +115,6 @@ class ViaMap:
     def add_cover(self, via: ViaPoint, owner: int) -> None:
         """Record one more layer segment covering the site."""
         self.update_count += 1
-        self.row_gen[via.vy] += 1
-        self.col_gen[via.vx] += 1
         flat = via.vx * self.via_ny + via.vy
         count = self._count[flat]
         self._count[flat] = count + 1
@@ -162,8 +137,6 @@ class ViaMap:
         conservatively stays MIXED until it empties.
         """
         self.update_count += 1
-        self.row_gen[via.vy] += 1
-        self.col_gen[via.vx] += 1
         flat = via.vx * self.via_ny + via.vy
         count = self._count[flat]
         if count <= 0:

@@ -87,9 +87,6 @@ class RoutingWorkspace:
             board.grid.via_nx, board.grid.via_ny, len(self.layers)
         )
         self.records: Dict[int, RouteRecord] = {}
-        #: Lazily-built :class:`repro.core.bounds.LowerBoundCache` (the
-        #: import is deferred — repro.core sits above repro.channels).
-        self._lower_bounds = None
         if install_pins:
             self.install_pins()
 
@@ -334,24 +331,13 @@ class RoutingWorkspace:
         built = sum(layer.gaps_built for layer in self.layers)
         return hits, built, 0
 
-    @property
-    def lower_bounds(self):
-        """The goal-mode lower-bound cache, built on first use.
-
-        Shares the workspace's lifetime; ECO edits invalidate entries
-        purely through the via map's row and column generation stamps.
-        """
-        if self._lower_bounds is None:
-            from repro.core.bounds import LowerBoundCache
-
-            self._lower_bounds = LowerBoundCache(self)
-        return self._lower_bounds
-
     def bounds_stats(self) -> Tuple[int, int]:
-        """(hits, rebuilds) of the lower-bound cache; zeros when unused."""
-        if self._lower_bounds is None:
-            return (0, 0)
-        return self._lower_bounds.stats()
+        """Always ``(0, 0)``: no lower bounds are cached any more.
+
+        Kept because the benchmark harness (``bench/workloads.py``)
+        still records this pair.
+        """
+        return (0, 0)
 
     def used_cells(self) -> int:
         """Grid cells covered by segments over all layers."""

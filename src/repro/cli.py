@@ -26,7 +26,6 @@ from typing import List, Optional
 
 from repro.analysis import format_table, table1_row
 from repro.channels.workspace import RoutingWorkspace
-from repro.core.bounds import SEARCH_MODES
 from repro.core.router import GreedyRouter, RouterConfig, make_router
 from repro.io import (
     FORMAT_KICAD,
@@ -73,9 +72,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
     from repro.core.budget import STOP_DEADLINE, RouteBudget
 
     config = RouterConfig(radius=args.radius, cost=args.cost)
-    if args.search is not None:
-        # --search forces it; otherwise the GRR_SEARCH env default holds.
-        config = dataclasses.replace(config, search=args.search)
     if args.timeout is not None or args.per_connection_timeout is not None:
         config = dataclasses.replace(
             config,
@@ -187,21 +183,8 @@ def _print_profile(profile) -> None:
             f"  gap lists: {hits} reused / {misses} built "
             f"({100.0 * hits / (hits + misses):.1f}% reused)"
         )
-    lb_hits = profile.counters.get("lb_hits", 0)
-    lb_rebuilds = profile.counters.get("lb_rebuilds", 0)
-    lb_total = lb_hits + lb_rebuilds
-    if lb_total:
-        print(
-            f"  lower bounds: {lb_hits} hits / {lb_rebuilds} rebuilds / "
-            f"{profile.counters.get('lb_prunes', 0)} prunes / "
-            f"{profile.counters.get('heap_stale', 0)} stale heap skips "
-            f"({100.0 * lb_hits / lb_total:.1f}% hit rate)"
-        )
     for counter, amount in sorted(profile.counters.items()):
-        if counter not in (
-            "gap_cache_hits", "gap_cache_misses",
-            "lb_hits", "lb_rebuilds", "lb_prunes", "heap_stale",
-        ):
+        if counter not in ("gap_cache_hits", "gap_cache_misses"):
             print(f"  {counter}: {amount}")
 
 
@@ -325,8 +308,6 @@ def _cmd_eco(args: argparse.Namespace) -> int:
     board = loaded.board
     connections = list(loaded.connections)
     config = RouterConfig(radius=args.radius, cost=args.cost)
-    if args.search is not None:
-        config = dataclasses.replace(config, search=args.search)
     if args.timeout is not None or args.per_connection_timeout is not None:
         config = dataclasses.replace(
             config,
@@ -617,15 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["unit", "distance", "distance_hops"],
     )
     p.add_argument(
-        "--search",
-        choices=SEARCH_MODES,
-        default=None,
-        help="Lee search mode: 'classic' is the paper's distance*hops "
-        "wavefront, 'goal' orders and prunes with cached admissible "
-        "distance lower bounds (fewer expansions, same completion; "
-        "default: GRR_SEARCH env, else classic)",
-    )
-    p.add_argument(
         "--timeout",
         type=float,
         metavar="SECS",
@@ -744,7 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="distance_hops",
         choices=["unit", "distance", "distance_hops"],
     )
-    p.add_argument("--search", choices=SEARCH_MODES, default=None)
     p.add_argument("--timeout", type=float, metavar="SECS", default=None)
     p.add_argument(
         "--per-connection-timeout", type=float, metavar="SECS", default=None

@@ -9,11 +9,6 @@ Strategy stack, in order of increasing desperation per connection:
 4. rip-up of obstructing connections and putback.
 """
 
-from repro.core.bounds import (
-    SEARCH_MODES,
-    LowerBoundCache,
-    TargetBounds,
-)
 from repro.core.budget import BudgetTracker, RouteBudget
 from repro.core.cost import (
     COST_FUNCTIONS,
@@ -33,13 +28,10 @@ __all__ = [
     "COST_FUNCTIONS",
     "GreedyRouter",
     "LeeSearchResult",
-    "LowerBoundCache",
     "RouteBudget",
     "RouterConfig",
     "RoutingResult",
-    "SEARCH_MODES",
     "Strategy",
-    "TargetBounds",
     "distance_cost",
     "distance_hops_cost",
     "lee_route",

@@ -20,7 +20,6 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.board.nets import Connection
 from repro.channels.workspace import RouteRecord, RoutingWorkspace
-from repro.core.bounds import HOPS_UNREACHABLE, TargetBounds
 from repro.core.budget import SEARCH_CHECK_MASK, BudgetTracker
 from repro.core.cost import CostFunction, distance_hops_cost
 from repro.core.single_layer import (
@@ -30,7 +29,7 @@ from repro.core.single_layer import (
     reachable_vias,
     trace,
 )
-from repro.grid.coords import ViaPoint, manhattan
+from repro.grid.coords import ViaPoint
 from repro.grid.geometry import Box, Orientation
 from repro.obs.events import LeeExhausted, SearchCapHit
 from repro.obs.sinks import NULL_SINK, EventSink
@@ -46,31 +45,6 @@ StripSites = Dict[Tuple[int, Box], Set[ViaPoint]]
 #: One search's full-span free-gap views, one ``{channel: (los, his)}``
 #: dict per layer (see :func:`repro.core.single_layer.reachable_vias`).
 LayerViews = List[Dict[int, GapView]]
-
-#: Weight on the lower bound in goal mode's ``g + W*lb`` heap ordering.
-#: 1 is textbook A*; the hard prunes and the meet bookkeeping use the
-#: unweighted admissible bound regardless, so raising this trades route
-#: length for greed without touching the prune's soundness.  3 won the
-#: benchmarks/bench_goal.py sweep on the titan suite (1 and 5 were
-#: within a few percent; the frontier-size side selection matters far
-#: more than the exact weight).
-GOAL_WEIGHT = 3
-
-#: Extra pops the live frontier may spend after the other side drains
-#: pre-meet, before the search declares blocked.  Completions found in
-#: this tail are cheap (the live side is bound-guided straight at the
-#: dead side's territory); truly blocked connections pay at most this
-#: much more than classic's give-up-immediately rule.
-GOAL_TAIL_CAP = 8
-
-#: Per-hop surcharge (via units) added to ``g`` in goal mode.  Every
-#: hop in the waypoint chain is a potential via; without this the
-#: chain-length metric happily strings many short hops, and the extra
-#: via cover congests later connections (classic's ``distance * hops``
-#: cost penalizes depth implicitly).  The lower bound stays admissible:
-#: it underestimates the remaining *chain length*, which the surcharge
-#: only ever increases.
-GOAL_HOP_COST = 4
 
 
 @dataclass
@@ -95,14 +69,6 @@ class LeeSearchResult:
     best_points: Tuple[Optional[ViaPoint], Optional[ViaPoint]] = (None, None)
     #: Which side exhausted first ("a", "b" or "" if not blocked).
     exhausted_side: str = ""
-    #: Heap entries discarded at pop time because the opposing wavefront
-    #: had already marked the via (lazy deletion; only goal mode keeps
-    #: searching past a cross-mark, so only goal mode accumulates these).
-    heap_stale: int = 0
-    #: Goal-mode expansions/pushes discarded because the admissible
-    #: bound proved they could not beat the best meet (or the remaining
-    #: expansion budget / hop geometry).
-    lb_prunes: int = 0
 
 
 def _strip_axis(orientation: Orientation) -> str:
@@ -118,7 +84,6 @@ def _neighbors(
     max_gaps: int,
     stats: Optional[SearchStats] = None,
     budget: Optional[BudgetTracker] = None,
-    clip: Optional[Box] = None,
     strips: Optional[StripSites] = None,
     views: Optional[LayerViews] = None,
 ) -> List[Tuple[ViaPoint, int]]:
@@ -127,16 +92,10 @@ def _neighbors(
     "To find the neighbors of a via, Vias is called once for each layer,
     and the result added to an accumulating list" — the cross of Figure 11.
 
-    ``clip`` intersects every layer's strip (goal mode's corridor box
-    around the expanded via and its target, see :func:`_goal_clip`):
-    sites outside it would be push-pruned anyway, so clipping them away
-    here saves the gap scan that would have found them.
-
-    ``strips`` (classic search, one map per wavefront; requires
-    ``stats``) skips a layer whose strip already lists ``via``: the
-    wavefront has enumerated that free component once, uncapped, and
-    marked every site in it, so the call could only return sites the
-    caller drops as already marked.
+    ``strips`` (one map per wavefront; requires ``stats``) skips a layer
+    whose strip already lists ``via``: the wavefront has enumerated that
+    free component once, uncapped, and marked every site in it, so the
+    call could only return sites the caller drops as already marked.
 
     ``views`` (one dict per layer, owned by the search) memoizes each
     channel's full-span free gaps for the whole search; None builds them
@@ -148,15 +107,6 @@ def _neighbors(
         box = workspace.grid.via_strip(
             via, radius, _strip_axis(layer.orientation)
         )
-        if clip is not None:
-            box = Box(
-                max(box.x_lo, clip.x_lo),
-                max(box.y_lo, clip.y_lo),
-                min(box.x_hi, clip.x_hi),
-                min(box.y_hi, clip.y_hi),
-            )
-            if box.x_lo > box.x_hi or box.y_lo > box.y_hi:
-                continue
         if strips is not None:
             key = (layer_index, box)
             if via in strips.get(key, ()):
@@ -220,7 +170,6 @@ def lee_route(
     single_front: bool = False,
     sink: EventSink = NULL_SINK,
     budget: Optional[BudgetTracker] = None,
-    bounds: Optional[Tuple[TargetBounds, TargetBounds]] = None,
 ) -> LeeSearchResult:
     """Route one connection with the generalized bidirectional Lee search.
 
@@ -233,14 +182,6 @@ def lee_route(
     is consulted every few dozen expansions; exhaustion ends the search
     with reason ``"budget exhausted"`` — a truncation like the expansion
     limit, never an exception.
-
-    ``bounds`` — per-side :class:`repro.core.bounds.TargetBounds`
-    ``(toward b, toward a)`` — switches the search into **goal mode**
-    (``RouterConfig.search = "goal"``): A*-style ``g + lb`` ordering on
-    the accumulated waypoint-chain length, hard pruning against the best
-    known meeting path, and early bidirectional termination.  ``None``
-    keeps the paper's classic multiplicative heuristic and
-    stop-at-first-meet behaviour.
     """
     if passable is None:
         passable = frozenset((conn.conn_id,))
@@ -249,13 +190,7 @@ def lee_route(
     # the route, so every Vias call of this search shares one set of
     # gap views; ``_retrace`` builds its own lists.
     views: LayerViews = [{} for _ in workspace.layers]
-    if bounds is not None:
-        return _lee_route_goal(
-            workspace, conn, radius, passable, bounds, max_expansions,
-            max_gaps, single_front, sink, budget, stats, views,
-        )
     a, b = conn.a, conn.b
-    sources = (a, b)
     targets = (b, a)
     marks: Tuple[Dict[ViaPoint, Mark], Dict[ViaPoint, Mark]] = (
         {a: (0, None, None)},
@@ -273,7 +208,6 @@ def lee_route(
         (float("inf"), b),
     ]
     expansions = 0
-    heap_stale = 0
     meet: Optional[Tuple[int, ViaPoint, ViaPoint, int]] = None
     reason = ""
     exhausted = ""
@@ -298,14 +232,6 @@ def lee_route(
         else:
             side = 0 if heaps[0][0][0] <= heaps[1][0][0] else 1
         _, _, p = heappop(heaps[side])
-        if p in marks[1 - side] and p != sources[side]:
-            # Lazy deletion: the opposing wavefront claimed the via after
-            # we queued it; expanding it would only re-cover that side's
-            # territory.  (Classic mode stops at the first cross-mark, so
-            # this fires only in goal mode — the check is shared so both
-            # modes pay the same single dict probe per pop.)
-            heap_stale += 1
-            continue
         expansions += 1
         hops_p = marks[side][p][0]
         found_meet = None
@@ -330,7 +256,6 @@ def lee_route(
     return _finish(
         workspace, conn, meet, marks, radius, passable, max_gaps, stats,
         budget, sink, expansions, best_points, reason, exhausted,
-        heap_stale, 0,
     )
 
 
@@ -349,14 +274,8 @@ def _finish(
     best_points: Tuple[Optional[ViaPoint], Optional[ViaPoint]],
     reason: str,
     exhausted: str,
-    heap_stale: int,
-    lb_prunes: int,
 ) -> LeeSearchResult:
-    """Shared search tail: retrace a meet or report the blockage.
-
-    Used by both the classic and goal loops so the cap-truncation
-    bookkeeping and event emissions cannot drift between modes.
-    """
+    """Search tail: retrace the meet or report the blockage."""
     marked = len(marks[0]) + len(marks[1])
     if meet is None:
         # A cap-truncated search may have hidden reachable neighbors: the
@@ -398,8 +317,6 @@ def _finish(
             gaps_examined=stats.examined,
             best_points=best_points,
             exhausted_side=exhausted,
-            heap_stale=heap_stale,
-            lb_prunes=lb_prunes,
         )
     record = _retrace(
         workspace, conn, meet, marks, radius, passable, max_gaps, stats,
@@ -429,8 +346,6 @@ def _finish(
             cap_hits=stats.cap_hits,
             gaps_examined=stats.examined,
             best_points=best_points,
-            heap_stale=heap_stale,
-            lb_prunes=lb_prunes,
         )
     return LeeSearchResult(
         routed=True,
@@ -440,227 +355,6 @@ def _finish(
         cap_hits=stats.cap_hits,
         gaps_examined=stats.examined,
         best_points=best_points,
-        heap_stale=heap_stale,
-        lb_prunes=lb_prunes,
-    )
-
-
-def _goal_clip(
-    workspace: RoutingWorkspace, p: ViaPoint, target: ViaPoint, slack: int
-) -> Box:
-    """Corridor box for goal-mode neighbor generation, in grid coords.
-
-    Once a meet of cost ``mu`` is known, any useful neighbor ``s`` of
-    ``p`` must satisfy ``g(p) + manhattan(p, s) + manhattan(s, t) <=
-    mu - 1`` (the push filter with the Manhattan floor of the bound).
-    A site ``e`` via units outside the p-t bounding interval on either
-    axis detours at least ``2e``, so everything past ``slack // 2``
-    (``slack`` = the margin left over the straight p-t corridor) can
-    never pass the filter — the strips are clipped to this box before
-    the gap scan runs.
-    """
-    grid = workspace.grid
-    half = (slack // 2) * grid.grid_per_via
-    p_pt = grid.via_to_grid(p)
-    t_pt = grid.via_to_grid(target)
-    return Box(
-        min(p_pt.gx, t_pt.gx) - half,
-        min(p_pt.gy, t_pt.gy) - half,
-        max(p_pt.gx, t_pt.gx) + half,
-        max(p_pt.gy, t_pt.gy) + half,
-    )
-
-
-def _lee_route_goal(
-    workspace: RoutingWorkspace,
-    conn: Connection,
-    radius: int,
-    passable: FrozenSet[int],
-    bounds: Tuple[TargetBounds, TargetBounds],
-    max_expansions: int,
-    max_gaps: int,
-    single_front: bool,
-    sink: EventSink,
-    budget: Optional[BudgetTracker],
-    stats: SearchStats,
-    views: LayerViews,
-) -> LeeSearchResult:
-    """The goal-mode search loop (``RouterConfig.search = "goal"``).
-
-    Differences from the classic loop, all driven by the admissible
-    per-side ``bounds``:
-
-    * heaps order on ``f = g + GOAL_WEIGHT * lb`` where ``g`` is the
-      accumulated Manhattan length of the via-waypoint chain (via
-      units) — a weighted-A* ordering instead of the multiplicative
-      ``distance * hops`` heuristic;
-    * each step expands the side with the *smaller open frontier*
-      (Pohl's cardinality criterion) rather than the globally cheapest
-      pop.  This is where most of the measured expansion saving comes
-      from: a connection walled into a small pocket drains that pocket
-      in ``|pocket|`` expansions flat, instead of racing a large
-      opposing frontier against it, and on open boards the balanced
-      fronts meet near the middle;
-    * a cross-mark does not stop the search: it records a meet candidate
-      of cost ``g_a + g_b`` and the loop keeps improving it until
-      ``min(heap_a) + min(heap_b) >= mu`` (no open pair of frontier
-      nodes can beat the best meet — early bidirectional termination;
-      with ``GOAL_WEIGHT > 1`` the minima are inflated, so this fires
-      quickly and the tail past the first meet is nearly free);
-    * with a meet in hand, expansions and pushes that the bound proves
-      useless (``g + lb >= mu``, or more remaining hops than expansion
-      budget) are discarded (``lb_prunes``), and neighbor strips are
-      clipped to the corridor that can still pass the push filter;
-    * a target unreachable by hop geometry alone (single-orientation
-      boards, see :meth:`TargetBounds.hop_bound`) is pruned pre-meet —
-      sound, because hop reachability is symmetric, so no meet can
-      exist either;
-    * when one frontier drains pre-meet the live side keeps expanding
-      for up to ``GOAL_TAIL_CAP`` extra pops before blocked is
-      declared.  The dead side's marks blanket its entire reachable
-      set, so the live side can still cross into it and complete the
-      route — classic (paper Modification 2) gives up here, and its
-      interleaved ordering just happens to meet first most of the
-      time.  The cap bounds what a *truly* blocked connection pays for
-      the second opinion.
-
-    Completion safety is structural: pre-meet the loop explores exactly
-    like A* (no pruning beyond the geometric-unreachability case), and
-    every post-meet prune already has a routable meet in hand — so a
-    stale-free bound can affect route choice and speed, never turn a
-    routable connection into a blocked one.
-    """
-    a, b = conn.a, conn.b
-    sources = (a, b)
-    targets = (b, a)
-    marks: Tuple[Dict[ViaPoint, Mark], Dict[ViaPoint, Mark]] = (
-        {a: (0, None, None)},
-        {b: (0, None, None)},
-    )
-    dists: Tuple[Dict[ViaPoint, int], Dict[ViaPoint, int]] = ({a: 0}, {b: 0})
-    heaps: Tuple[list, list] = (
-        [(GOAL_WEIGHT * bounds[0].lower_bound(a), 0, a)],
-        [(GOAL_WEIGHT * bounds[1].lower_bound(b), 0, b)],
-    )
-    counter = itertools.count(1)
-    best: List[Tuple[float, ViaPoint]] = [
-        (float("inf"), a),
-        (float("inf"), b),
-    ]
-    expansions = 0
-    heap_stale = 0
-    lb_prunes = 0
-    mu = 0
-    meet: Optional[Tuple[int, ViaPoint, ViaPoint, int]] = None
-    reason = ""
-    exhausted = ""
-    tail_left = GOAL_TAIL_CAP
-    while True:
-        if not heaps[0] or not heaps[1]:
-            if meet is not None:
-                break  # keep the best meet found so far
-            if (
-                single_front
-                or (not heaps[0] and not heaps[1])
-                or tail_left <= 0
-            ):
-                # Blocked: both reachable sets are marked without a
-                # cross-mark ever forming, or the capped one-sided tail
-                # ran out.  Keep the side that drained *first* for the
-                # rip-up hint.
-                if not exhausted:
-                    exhausted = "a" if not heaps[0] else "b"
-                reason = "wavefront exhausted"
-                break
-            # One frontier drained pre-meet: capped one-sided tail
-            # (see the docstring).
-            if not exhausted:
-                exhausted = "a" if not heaps[0] else "b"
-            tail_left -= 1
-        if expansions >= max_expansions:
-            if meet is None:
-                reason = "expansion limit"
-            break
-        if (
-            budget is not None
-            and (expansions & SEARCH_CHECK_MASK) == 0
-            and budget.search_exceeded()
-        ):
-            if meet is None:
-                reason = "budget exhausted"
-            break
-        if (
-            meet is not None
-            and heaps[0]
-            and heaps[1]
-            and heaps[0][0][0] + heaps[1][0][0] >= mu
-        ):
-            # Early bidirectional termination: any undiscovered path
-            # crosses both open frontiers, so it costs at least the sum
-            # of the heap minima — the best meet cannot be beaten.
-            break
-        if single_front:
-            side = 0
-        elif not heaps[0]:
-            side = 1
-        elif not heaps[1]:
-            side = 0
-        else:
-            # Pohl's cardinality criterion: grow the smaller frontier.
-            side = 0 if len(heaps[0]) <= len(heaps[1]) else 1
-        _, _, p = heappop(heaps[side])
-        if p in marks[1 - side] and p != sources[side]:
-            heap_stale += 1
-            continue
-        side_bounds = bounds[side]
-        g_p = dists[side][p]
-        if meet is not None:
-            if g_p + side_bounds.lower_bound(p) >= mu:
-                lb_prunes += 1
-                continue
-            if side_bounds.hop_bound(p) > max_expansions - expansions:
-                lb_prunes += 1
-                continue
-        elif side_bounds.hop_bound(p) >= HOPS_UNREACHABLE:
-            lb_prunes += 1
-            continue
-        expansions += 1
-        hops_p = marks[side][p][0]
-        target = targets[side]
-        clip = None
-        if meet is not None:
-            # slack >= 0 here: the pop survived the f-prune above, and
-            # the bound never drops below Manhattan distance.
-            clip = _goal_clip(
-                workspace, p, target, mu - 1 - g_p - manhattan(p, target)
-            )
-        for n, layer_index in _neighbors(
-            workspace, p, radius, passable, max_gaps, stats, budget, clip,
-            views=views,
-        ):
-            if n in marks[side]:
-                continue
-            g_n = g_p + manhattan(p, n) + GOAL_HOP_COST
-            if n in marks[1 - side]:
-                cand = g_n + dists[1 - side][n]
-                if meet is None or cand < mu:
-                    mu = cand
-                    meet = (side, p, n, layer_index)
-            lb_n = side_bounds.lower_bound(n)
-            if meet is not None and g_n + lb_n >= mu:
-                lb_prunes += 1
-                continue
-            marks[side][n] = (hops_p + 1, p, layer_index)
-            dists[side][n] = g_n
-            f_n = g_n + GOAL_WEIGHT * lb_n
-            heappush(heaps[side], (f_n, next(counter), n))
-            if f_n < best[side][0]:
-                best[side] = (f_n, n)
-    best_points = (best[0][1], best[1][1])
-    return _finish(
-        workspace, conn, meet, marks, radius, passable, max_gaps, stats,
-        budget, sink, expansions, best_points, reason, exhausted,
-        heap_stale, lb_prunes,
     )
 
 

@@ -26,7 +26,6 @@ from repro.core.budget import (
     BudgetTracker,
     RouteBudget,
 )
-from repro.core.bounds import SEARCH_MODES, TargetBounds
 from repro.core.cost import COST_FUNCTIONS, CostFunction
 from repro.core.lee import LeeSearchResult, lee_route
 from repro.core.optimal import try_one_via, try_two_via, try_zero_via
@@ -38,7 +37,6 @@ from repro.grid.coords import ViaPoint
 from repro.obs.audit import WorkspaceAuditor
 from repro.obs.events import (
     AuditRun,
-    BoundsStats,
     CacheStats,
     ConnectionFailed,
     ConnectionRouted,
@@ -61,16 +59,6 @@ CAP_RETRY_FACTOR = 4
 def _audit_default() -> bool:
     """Audit after every pass when ``GRR_AUDIT`` is set (CI's audit tier)."""
     return os.environ.get("GRR_AUDIT", "") not in ("", "0")
-
-
-def _search_default() -> str:
-    """Search mode from ``GRR_SEARCH`` (CI's goal-mode matrix leg).
-
-    Defaults to the paper's classic multiplicative heuristic; ``"goal"``
-    selects the A*-style search over reusable lower bounds
-    (:mod:`repro.core.bounds`).
-    """
-    return os.environ.get("GRR_SEARCH", "") or "classic"
 
 
 @dataclass
@@ -111,13 +99,6 @@ class RouterConfig:
     #: raising on any violation.
     #: Defaults on when the ``GRR_AUDIT`` environment variable is set.
     audit: bool = field(default_factory=_audit_default)
-    #: Lee wavefront mode: ``"classic"`` (the paper's ``distance *
-    #: hops`` heuristic, stop at first meet) or ``"goal"`` (A*-style
-    #: ``g + lb`` ordering over the reusable
-    #: :class:`repro.core.bounds.LowerBoundCache` lower bounds, with
-    #: meet-cost pruning and early bidirectional termination).
-    #: Defaults from the ``GRR_SEARCH`` environment variable.
-    search: str = field(default_factory=_search_default)
 
     def __post_init__(self) -> None:
         if self.radius < 0:
@@ -126,11 +107,6 @@ class RouterConfig:
             raise ValueError(
                 f"unknown cost function {self.cost!r}; "
                 f"choose from {sorted(COST_FUNCTIONS)}"
-            )
-        if self.search not in SEARCH_MODES:
-            raise ValueError(
-                f"unknown search mode {self.search!r}; "
-                f"choose from {SEARCH_MODES}"
             )
 
     @property
@@ -202,7 +178,6 @@ class GreedyRouter:
         stalled = 0
         sink = self.sink
         cache_before = self.workspace.gap_cache_stats()
-        bounds_before = self.workspace.bounds_stats()
         while unrouted and result.passes < cfg.max_passes:
             if len(unrouted) < previous:
                 stalled = 0
@@ -256,7 +231,6 @@ class GreedyRouter:
         }
         result.cpu_seconds = time.perf_counter() - started
         self._note_cache_stats(cache_before, "route")
-        self._note_bounds_stats(bounds_before, "route")
         return result
 
     def _note_cache_stats(
@@ -277,62 +251,6 @@ class GreedyRouter:
                     context, hits, misses, hits / total if total else 0.0
                 )
             )
-
-    def _note_bounds_stats(
-        self, before: Tuple[int, int], context: str
-    ) -> None:
-        """Fold this run's lower-bound cache delta into profile counters
-        and emit one :class:`~repro.obs.events.BoundsStats` event.
-
-        A no-op under ``search="classic"`` (the cache is never consulted,
-        so the delta is zero and nothing is bumped or emitted)."""
-        hits_after, rebuilds_after = self.workspace.bounds_stats()
-        hits = hits_after - before[0]
-        rebuilds = rebuilds_after - before[1]
-        if not hits and not rebuilds:
-            return
-        self.profile.bump("lb_hits", hits)
-        self.profile.bump("lb_rebuilds", rebuilds)
-        if self.sink.enabled:
-            total = hits + rebuilds
-            self.sink.emit(
-                BoundsStats(
-                    context,
-                    hits,
-                    rebuilds,
-                    hits / total if total else 0.0,
-                )
-            )
-
-    def _note_search(self, search: LeeSearchResult) -> None:
-        """Fold per-search goal-mode counters into the profile."""
-        if search.heap_stale:
-            self.profile.bump("heap_stale", search.heap_stale)
-        if search.lb_prunes:
-            self.profile.bump("lb_prunes", search.lb_prunes)
-
-    def _bounds_for(
-        self, conn: Connection, passable: FrozenSet[int]
-    ) -> Optional[Tuple[TargetBounds, TargetBounds]]:
-        """Per-side distance lower bounds for goal-oriented search.
-
-        Returns None under ``search="classic"`` (the Lee search then runs
-        its historical cost-function ordering untouched).  In goal mode
-        the pair is (bounds toward ``conn.b``, bounds toward ``conn.a``) —
-        side 0 of the bidirectional search grows from ``a`` toward ``b``
-        and vice versa.  Lookups hit the workspace-resident
-        :class:`~repro.core.bounds.LowerBoundCache`, so retries, rip-up
-        rounds and ECO reroutes of the same connection reuse warm entries
-        until a cover change touches the target's arrival bands.
-        """
-        if self.config.search != "goal":
-            return None
-        cache = self.workspace.lower_bounds
-        radius = self.config.radius
-        return (
-            cache.lookup(conn.b, passable, radius),
-            cache.lookup(conn.a, passable, radius),
-        )
 
     def _audit(self, context: str) -> None:
         """Verify workspace invariants, emit the event, raise on breakage."""
@@ -438,7 +356,6 @@ class GreedyRouter:
                     max_gaps=caps.max_gaps,
                     sink=sink,
                     budget=budget,
-                    bounds=self._bounds_for(conn, passable),
                 )
             if sink.enabled:
                 sink.emit(
@@ -498,7 +415,6 @@ class GreedyRouter:
             )
             if search is not None:
                 result.lee_expansions += search.expansions
-                self._note_search(search)
                 if search.cap_hits:
                     self.profile.bump("cap_hits", search.cap_hits)
             still_truncated = False
@@ -525,10 +441,8 @@ class GreedyRouter:
                         max_gaps=cfg.budget.max_gaps * CAP_RETRY_FACTOR,
                         sink=sink,
                         budget=budget,
-                        bounds=self._bounds_for(conn, passable),
                     )
                 result.lee_expansions += search.expansions
-                self._note_search(search)
                 if search.cap_hits:
                     self.profile.bump("cap_hits", search.cap_hits)
                 if search.routed:

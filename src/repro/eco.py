@@ -8,15 +8,9 @@ touch:
 
 * **Surviving routes** stay installed — the reroute only routes the
   residue, because the pass loop already skips connections the
-  workspace reports as routed.
-* **Warm lower bounds** survive — mutations go through the same
-  channel primitives routing uses, so the via map's row and column
-  generations move only where an edit lands, and goal-mode
-  :class:`~repro.core.bounds.LowerBoundCache` entries elsewhere keep
-  serving (Ahrens et al., arXiv:2111.06169 make the same observation
-  for incremental queries: reuse, don't rebuild).  Free-gap lists need
-  no such care: each Lee search builds its own from the board as it
-  stands.
+  workspace reports as routed.  Nothing else carries over between
+  searches: each Lee search builds its own free-gap lists from the
+  board as it stands, so no cache needs invalidating after an edit.
 
 The invalidation rule is ownership-based, computed from the workspace's
 channel/via bookkeeping:
@@ -287,26 +281,44 @@ class EcoSession:
         rules), strung by the same stringer batch routing uses, with
         fresh connection ids.  The new connections are pending until
         the next :meth:`reroute`.
+
+        All or nothing: a pin that is unknown, already in a net or named
+        twice in the call, or an ECL group left without a free
+        terminating resistor, raises :class:`EcoError` with the board
+        and the session as they were before the call.
         """
         self._check_open()
         if self.sink.enabled:
             self.sink.emit(EcoBegin("add_nets", len(pin_groups)))
-        stringer = Stringer(self.board)
+        named: Set[int] = set()
+        for pin_ids in pin_groups:
+            for pin_id in pin_ids:
+                if pin_id in named:
+                    raise EcoError(f"pin {pin_id} is named twice")
+                named.add(pin_id)
+        board = self.board
+        n_nets, n_connections = len(board.nets), len(self.connections)
+        stringer = Stringer(board)
         added: List[int] = []
         new_nets: List[int] = []
-        for pin_ids in pin_groups:
-            try:
-                net = self.board.add_net(list(pin_ids), family=family)
-            except ValueError as exc:
-                raise EcoError(str(exc)) from exc
-            new_nets.append(net.net_id)
-            chain = stringer.string_net(net)
-            new_conns = stringer.connections_for_chain(
-                net, chain, start_id=self._next_conn_id
-            )
-            self._next_conn_id += len(new_conns)
-            self.connections.extend(new_conns)
-            added.extend(c.conn_id for c in new_conns)
+        try:
+            for pin_ids in pin_groups:
+                net = board.add_net(list(pin_ids), family=family)
+                new_nets.append(net.net_id)
+                chain = stringer.string_net(net)
+                new_conns = stringer.connections_for_chain(
+                    net, chain, start_id=self._next_conn_id + len(added)
+                )
+                self.connections.extend(new_conns)
+                added.extend(c.conn_id for c in new_conns)
+        except ValueError as exc:  # a bad pin, or a StringingError
+            for net in board.nets[n_nets:]:
+                for pin_id in net.pin_ids:
+                    board.pins[pin_id].net_id = -1
+            del board.nets[n_nets:]
+            del self.connections[n_connections:]
+            raise EcoError(str(exc)) from exc
+        self._next_conn_id += len(added)
         self._invalidated |= set(added)
         if self.sink.enabled:
             self.sink.emit(EcoInvalidate("add_nets", len(added), 0, 0))

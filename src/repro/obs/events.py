@@ -23,7 +23,6 @@ kind                emitted when
 ``improve``         the improvement pass re-routes one detour
 ``audit``           a workspace audit ran (violation count included)
 ``cache_stats``     free-gap list reuse/build totals for a routing phase
-``bounds_stats``    lower-bound cache hit/rebuild totals (goal search)
 ``budget_checkpoint``  a timed routing run passed a coarse checkpoint
 ``budget_exhausted``   a wall-clock budget scope ran out (once per scope)
 ``serve_accept``    the routing service received a job-creating request
@@ -218,21 +217,6 @@ class CacheStats(RouteEvent):
     context: str
     hits: int
     misses: int
-    hit_rate: float
-
-
-@dataclass(frozen=True)
-class BoundsStats(RouteEvent):
-    """Distance lower-bound cache totals for one routing phase
-    (``repro.core.bounds``): target lookups served from a warm,
-    generation-valid entry (``hits``) vs. lookups that had to rescan
-    the target's arrival bands (``rebuilds``).  Only emitted when the
-    cache was consulted, i.e. under ``search="goal"``."""
-
-    kind: ClassVar[str] = "bounds_stats"
-    context: str
-    hits: int
-    rebuilds: int
     hit_rate: float
 
 

@@ -1,10 +1,10 @@
 """Routing-as-a-service: a long-lived asyncio server with warm state.
 
 The batch facade (:mod:`repro.api`) is one request in, one response
-out, and every call pays cold-start: workspace build and cache
-warm-up.  A service sees the opposite traffic shape — mostly *edits*
-against boards it has already routed — so this package keeps the
-expensive state alive between HTTP calls:
+out, and every call pays cold-start: load, stringing, workspace build
+and a full route.  A service sees the opposite traffic shape — mostly
+*edits* against boards it has already routed — so this package keeps
+the expensive state alive between HTTP calls:
 
 * :class:`SessionManager` holds named warm :class:`~repro.eco.EcoSession`
   objects (routed workspaces) with idle-TTL eviction;

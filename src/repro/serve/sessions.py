@@ -1,9 +1,9 @@
 """Named warm sessions: EcoSessions kept alive between HTTP calls.
 
 This is the state that makes the service worth running: a session's
-:class:`~repro.eco.EcoSession` carries the routed workspace and its
-warm lower-bound cache across requests, so an edit → reroute round trip
-costs what the *edit* costs, not a cold route.
+:class:`~repro.eco.EcoSession` carries the routed workspace across
+requests, so an edit → reroute round trip costs what the *edit* costs,
+not a cold route.
 
 Lifecycle rules a long-lived process forces:
 

@@ -19,10 +19,16 @@ from repro.board.board import Board
 from repro.board.nets import Connection, Net
 from repro.board.parts import Pin, PinRole
 from repro.grid.coords import manhattan
+from repro.io.registry import InputError
 
 
-class StringingError(ValueError):
-    """A net cannot be strung (e.g. no free terminator for an ECL net)."""
+class StringingError(InputError):
+    """A net cannot be strung (e.g. no free terminator for an ECL net).
+
+    An :class:`~repro.io.registry.InputError`: the board, not the
+    router, is at fault, so ``grr`` exits 2 and ``grr serve`` answers
+    400 when a board read without a connection list cannot be strung.
+    """
 
 
 def chain_length(pins: Sequence[Pin]) -> int:

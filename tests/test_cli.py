@@ -5,7 +5,14 @@ import os
 
 import pytest
 
+from repro.board.board import Board
+from repro.board.parts import PinRole
+from repro.board.technology import LogicFamily
 from repro.cli import main
+from repro.grid.coords import ViaPoint
+from repro.io import save_board
+
+from tests.conftest import place_pin
 
 
 @pytest.fixture
@@ -112,6 +119,32 @@ class TestInputErrors:
         assert code == 2
         assert "board lacks" in capsys.readouterr().err
         assert not os.path.exists(files["routes"])
+
+    def test_unstringable_board_exits_2(self, files, capsys):
+        """An ECL net with no free terminating resistor cannot be strung:
+        one line naming the net, exit 2, no connection file."""
+        board = Board.create(via_nx=12, via_ny=12, n_signal_layers=2)
+        out = place_pin(board, ViaPoint(2, 2), PinRole.OUTPUT)
+        inp = place_pin(board, ViaPoint(9, 9), PinRole.INPUT)
+        net = board.add_net([out.pin_id, inp.pin_id], family=LogicFamily.ECL)
+        save_board(board, files["board"])
+        code = main(["string", files["board"], files["conns"]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("grr string: StringingError: ")
+        assert f"no free terminating resistor for net {net.name}" in err
+        assert not os.path.exists(files["conns"])
+
+    @pytest.mark.parametrize("command", ["route", "eco"])
+    def test_search_flag_is_gone(self, files, command, capsys):
+        args = [command, files["board"], files["conns"], files["routes"]]
+        if command == "eco":
+            args.append(files["routes"])
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + ["--search", "goal"])
+        assert exit_info.value.code == 2
+        assert "--search" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["route", "eco"])
     def test_backend_flag_is_gone(self, files, command, capsys):

@@ -1,8 +1,7 @@
 """Unit tests for the Lee cost functions (Section 8.2, Modification 3)
-and property tests for the goal-mode lower bound they order against
-(``repro.core.bounds``): admissibility against real routed chains,
-consistency (the Lipschitz condition that keeps ``g + lb`` monotone
-along any path), plus zero-distance-target and single-layer edge cases.
+and property tests of their laws, plus two bounds real routes obey: the
+``distance`` cost never exceeds a routed via chain's length, and on a
+one-layer board each hop moves at most ``radius`` rows.
 """
 
 from hypothesis import given, settings
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.board.board import Board
 from repro.channels.workspace import RoutingWorkspace
-from repro.core.bounds import HOPS_UNREACHABLE, chain_cost
 from repro.core.cost import (
     COST_FUNCTIONS,
     distance_cost,
@@ -19,6 +17,7 @@ from repro.core.cost import (
 )
 from repro.core.lee import lee_route
 from repro.grid.coords import ViaPoint, manhattan
+from repro.grid.geometry import Orientation
 
 from tests.conftest import make_connection, scaled
 
@@ -126,7 +125,7 @@ class TestCostProperties:
 
 
 # ----------------------------------------------------------------------
-# Property tests: the goal-mode lower bound (repro.core.bounds)
+# Property tests: lower bounds against routed chains
 # ----------------------------------------------------------------------
 
 
@@ -143,6 +142,11 @@ def _obstructed_workspace(board, obstacles, avoid):
     return ws
 
 
+def _chain_length(waypoints):
+    """Summed Manhattan length of a via-waypoint chain, in via units."""
+    return sum(manhattan(p, q) for p, q in zip(waypoints, waypoints[1:]))
+
+
 class TestLowerBoundProperties:
     @given(
         a=_via,
@@ -151,66 +155,41 @@ class TestLowerBoundProperties:
     )
     @settings(max_examples=scaled(25), deadline=None)
     def test_admissible_against_routed_chain(self, a, b, obstacles):
-        """lb never exceeds the Manhattan length of any real route's
-        via-waypoint chain — the invariant goal-mode pruning needs."""
+        """The ``distance`` cost never exceeds the Manhattan length of a
+        real route's via-waypoint chain, from the source or from any
+        waypoint on it: it is a lower bound on the remaining route."""
         if a == b:
             return
         board = Board.create(via_nx=12, via_ny=10, n_signal_layers=4)
         conn = make_connection(board, a, b)
         ws = _obstructed_workspace(board, obstacles, {a, b})
-        passable = _passable_for(conn)
-        entry = ws.lower_bounds.lookup(conn.b, passable, 1)
-        result = lee_route(ws, conn, passable=passable)
+        result = lee_route(ws, conn, passable=_passable_for(conn))
         if not result.routed:
             return
         chain = [conn.a] + list(result.record.vias) + [conn.b]
-        assert entry.lower_bound(conn.a) <= chain_cost(chain)
-        # ...and from every intermediate waypoint the bound stays under
-        # the remaining chain length.
         for i, waypoint in enumerate(chain):
-            assert entry.lower_bound(waypoint) <= chain_cost(chain[i:])
+            assert distance_cost(waypoint, conn.b, i + 1) <= _chain_length(
+                chain[i:]
+            )
 
-    @given(
-        t=_via,
-        n=_via,
-        m=_via,
-        obstacles=st.lists(_via, max_size=6, unique=True),
-    )
+    @given(a=_via, b=_via, radius=st.integers(0, 3))
     @settings(max_examples=scaled(25), deadline=None)
-    def test_consistency_and_manhattan_floor(self, t, n, m, obstacles):
-        board = Board.create(via_nx=12, via_ny=10, n_signal_layers=4)
-        ws = _obstructed_workspace(board, obstacles, set())
-        entry = ws.lower_bounds.lookup(t, frozenset(), 1)
-        lb_n = entry.lower_bound(n)
-        lb_m = entry.lower_bound(m)
-        # Consistency: lb changes by at most the cost of moving n -> m,
-        # so g + lb never decreases along a path.
-        assert abs(lb_n - lb_m) <= manhattan(n, m)
-        # Never weaker than the Manhattan floor; exact zero at target.
-        assert lb_n >= manhattan(n, t)
-        assert entry.lower_bound(t) == 0
-        assert entry.hop_bound(t) == 0
-
-    @given(t=_via, n=_via, radius=st.integers(1, 3))
-    @settings(max_examples=scaled(25), deadline=None)
-    def test_single_layer_board_hop_bound(self, t, n, radius):
-        """One horizontal layer: each hop shifts the via row by at most
-        ``radius``, so the hop bound is the exact ceiling — and with
-        radius 0 a cross-row target is provably unreachable."""
+    def test_single_layer_board_hop_bound(self, a, b, radius):
+        """One horizontal layer: a hop moves at most ``radius`` via rows
+        (Section 8.1), so a route needs at least ceil(|dy| / radius)
+        links, and with radius 0 a cross-row target is proven blocked."""
+        if a == b:
+            return
         board = Board.create(via_nx=12, via_ny=10, n_signal_layers=1)
+        conn = make_connection(board, a, b)
         ws = RoutingWorkspace(board)
-        entry = ws.lower_bounds.lookup(t, frozenset(), radius)
-        dy = abs(n.vy - t.vy)
-        if n == t:
-            assert entry.hop_bound(n) == 0
-        elif dy == 0:
-            assert entry.hop_bound(n) == 1
-        else:
-            assert entry.hop_bound(n) == -(-dy // radius)
-        zero = ws.lower_bounds.lookup(t, frozenset(), 0)
-        if dy > 0:
-            assert zero.hop_bound(n) == HOPS_UNREACHABLE
-        # The distance bound stays admissible on one layer too: it can
-        # never exceed a straight horizontal run plus the row offset...
-        # but it must keep the Manhattan floor.
-        assert entry.lower_bound(n) >= manhattan(n, t)
+        assert ws.layers[0].orientation is Orientation.HORIZONTAL
+        result = lee_route(
+            ws, conn, radius=radius, passable=_passable_for(conn)
+        )
+        dy = abs(a.vy - b.vy)
+        if radius == 0 and dy > 0:
+            assert not result.routed
+            assert result.reason == "wavefront exhausted"
+        elif result.routed and radius > 0:
+            assert len(result.record.links) >= -(-dy // radius)

@@ -3,8 +3,9 @@
 The order in which the Lee search's neighbor generator emits via sites
 is routing semantics: heap entries tiebreak on insertion order.  Any
 iteration over a hash-ordered container on that path would make routes
-vary with ``PYTHONHASHSEED``; routing the same boards in two fresh
-interpreters with different seeds must give the same wiring.
+vary with ``PYTHONHASHSEED``; routing the same boards (all nine Table 1
+rows) in two fresh interpreters with different seeds must give the same
+wiring.
 """
 
 from __future__ import annotations
@@ -16,14 +17,15 @@ import sys
 import pytest
 
 import repro
+from repro.workloads import TITAN_CONFIGS
 
 _ROUTE_BOARDS = """
 from repro.channels.workspace import RoutingWorkspace
 from repro.core.router import RouterConfig, make_router
 from repro.stringer import Stringer
-from repro.workloads import make_titan_board
+from repro.workloads import TITAN_CONFIGS, make_titan_board
 
-for name in ("kdj11_2l", "tna"):
+for name in TITAN_CONFIGS:
     board = make_titan_board(name, scale=0.30, seed=1)
     workspace = RoutingWorkspace(board)
     make_router(board, RouterConfig(), workspace).route(
@@ -48,6 +50,7 @@ def _digests(hash_seed: str) -> str:
 
 @pytest.mark.slow
 def test_state_digest_independent_of_hash_seed():
+    """Every Table 1 row at scale 0.30, seed 1."""
     first = _digests("0")
-    assert first.split()[::2] == ["kdj11_2l", "tna"]
+    assert first.split()[::2] == list(TITAN_CONFIGS)
     assert _digests("12345") == first

@@ -17,6 +17,7 @@ import pytest
 from repro.api import RouteRequest, begin_eco, reroute, route
 from repro.board.board import Board, PlacementError
 from repro.board.parts import PinRole, sip_package
+from repro.board.technology import LogicFamily
 from repro.core.budget import STOP_DEADLINE, RouteBudget
 from repro.core.result import Strategy
 from repro.core.router import RouterConfig
@@ -28,7 +29,7 @@ from repro.stringer import Stringer
 from repro.verify import check_connectivity
 from repro.workloads import make_titan_board
 
-from tests.conftest import make_connection
+from tests.conftest import make_connection, place_pin
 from tests.helpers import assert_workspace_consistent
 
 
@@ -45,6 +46,18 @@ def _routed_session(scale=0.25, seed=3, sink=None, config=None):
     response = route(request)
     assert response.result.complete
     return begin_eco(request, response), request, response
+
+
+def _eco_state(session):
+    """Everything ``add_nets`` may touch: nets, pin claims, the
+    connection list, pending ids and the routed state."""
+    return (
+        [list(net.pin_ids) for net in session.board.nets],
+        [pin.net_id for pin in session.board.pins],
+        [(c.conn_id, c.pin_a, c.pin_b) for c in session.connections],
+        session.pending,
+        session.workspace.state_digest(),
+    )
 
 
 def _free_destination(board, part_id):
@@ -208,11 +221,66 @@ class TestAddNets:
             assert session.connections[-1].pin_b == terminator
 
     def test_add_over_claimed_pins_rejected(self):
+        """A rejected group undoes the valid groups before it: no net,
+        pin claim, terminator claim or connection of the call remains."""
         session, _, _ = _routed_session()
         with session:
-            net = session.board.signal_nets[0]
+            board = session.board
+            freed = next(n for n in board.signal_nets if len(n.pin_ids) >= 3)
+            pins = [
+                p
+                for p in freed.pin_ids
+                if board.pins[p].role is not PinRole.TERMINATOR
+            ]
+            session.cut_nets([freed.net_id])
+            claimed = next(n for n in board.signal_nets if n.pin_ids)
+            before = _eco_state(session)
             with pytest.raises(EcoError, match="already belongs"):
-                session.add_nets([list(net.pin_ids[:2])])
+                session.add_nets([pins, list(claimed.pin_ids[:2])])
+            assert _eco_state(session) == before
+            # The valid group alone still goes in afterwards.
+            stats = session.add_nets([pins])
+            assert stats.net_ids == (len(before[0]),)
+
+    def test_ecl_group_without_free_terminator_rejected(self, empty_board):
+        board = empty_board
+        terminator = place_pin(board, ViaPoint(10, 7), PinRole.TERMINATOR)
+        groups = [
+            [
+                place_pin(board, ViaPoint(2, y), PinRole.OUTPUT).pin_id,
+                place_pin(board, ViaPoint(17, y), PinRole.INPUT).pin_id,
+            ]
+            for y in (3, 11)
+        ]
+        session = EcoSession(board, [])
+        with session:
+            before = _eco_state(session)
+            # The first group claims the only terminator; the second
+            # finds none left.
+            with pytest.raises(EcoError, match="no free terminating"):
+                session.add_nets(groups)
+            assert _eco_state(session) == before
+            assert board.pins[terminator.pin_id].net_id == -1
+            stats = session.add_nets(groups[1:])
+            assert board.nets[stats.net_ids[0]].pin_ids == groups[1] + [
+                terminator.pin_id
+            ]
+
+    def test_pin_named_twice_rejected(self, empty_board):
+        board = empty_board
+        a, b, c = (
+            place_pin(board, ViaPoint(2 + 5 * i, 4), role).pin_id
+            for i, role in enumerate(
+                (PinRole.OUTPUT, PinRole.INPUT, PinRole.INPUT)
+            )
+        )
+        session = EcoSession(board, [])
+        with session:
+            before = _eco_state(session)
+            for groups in ([[a, a]], [[a, b], [b, c]]):
+                with pytest.raises(EcoError, match="named twice"):
+                    session.add_nets(groups, family=LogicFamily.TTL)
+                assert _eco_state(session) == before
 
 
 class TestMovePart:

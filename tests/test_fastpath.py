@@ -314,9 +314,7 @@ class TestFullBoardParity:
         ws = RoutingWorkspace(board)
         # audit=True re-verifies workspace invariants after every pass
         # (the GRR_AUDIT=1 tier), so parity here covers the audit too.
-        router = GreedyRouter(
-            board, RouterConfig(audit=True, search="classic"), ws
-        )
+        router = GreedyRouter(board, RouterConfig(audit=True), ws)
         vias = reference_reachable_vias if reference else lee.reachable_vias
         with mock.patch.object(lee, "reachable_vias", vias):
             result = router.route(conns)

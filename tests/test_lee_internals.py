@@ -312,9 +312,7 @@ class TestStripMapExactness:
         runs = {}
         for use_map in (True, False):
             ws = RoutingWorkspace(board)
-            # The map serves the classic search only; pin it against a
-            # GRR_SEARCH default.
-            router = make_router(board, RouterConfig(search="classic"), ws)
+            router = make_router(board, RouterConfig(), ws)
             with contextlib.ExitStack() as stack:
                 if not use_map:
                     stack.enter_context(mock.patch.object(
@@ -337,7 +335,8 @@ class TestGapViews:
     """One Lee search builds each channel's full-span gap list once, and
     its retrace, which installs segments, builds its own lists."""
 
-    @pytest.mark.parametrize("search", ["classic", "goal"])
+    # One search remains; the parameter keeps the test's id stable.
+    @pytest.mark.parametrize("search", ["classic"])
     def test_search_builds_each_gap_list_once(self, search):
         board = make_titan_board("kdj11_2l", scale=0.30, seed=1)
         connections = Stringer(board).string_all()
@@ -349,12 +348,6 @@ class TestGapViews:
         ).route(connections).failed
         conn = next(c for c in connections if c.conn_id in pending)
         passable = _passable(conn)
-        bounds = None
-        if search == "goal":
-            bounds = (
-                ws.lower_bounds.lookup(conn.b, passable, 1),
-                ws.lower_bounds.lookup(conn.a, passable, 1),
-            )
         where = {
             id(channel): (layer_index, channel_index)
             for layer_index, layer in enumerate(ws.layers)
@@ -379,7 +372,7 @@ class TestGapViews:
         hits_before = ws.gap_cache_stats()[0]
         with mock.patch.object(Channel, "free_gaps", spy_free_gaps), \
                 mock.patch.object(lee, "_retrace", spy_retrace):
-            result = lee_route(ws, conn, passable=passable, bounds=bounds)
+            result = lee_route(ws, conn, passable=passable)
         assert result.routed and result.expansions > 1
         searched = [key for key, _, _, retrace in builds if not retrace]
         for key, lo, hi, retrace in builds:

@@ -22,6 +22,9 @@ import threading
 import pytest
 
 from repro.api import request_from_text, route
+from repro.board.board import Board
+from repro.board.parts import PinRole
+from repro.board.technology import LogicFamily
 from repro.core.budget import RouteBudget
 from repro.io import save_route_dump, write_board, write_connections
 from repro.obs.events import PassStart
@@ -34,8 +37,11 @@ from repro.serve import (
     ServeConfig,
     SessionManager,
 )
+from repro.grid.coords import ViaPoint
 from repro.stringer import Stringer
 from repro.workloads import make_titan_board
+
+from tests.conftest import place_pin
 
 
 def _board_texts(name="tna", scale=0.25, seed=3):
@@ -518,6 +524,48 @@ class TestHttpEndpoints:
                 )
             status, listing = await _call(host, port, "GET", "/sessions")
             assert listing["sessions"] == []
+
+        self._run(scenario)
+
+    def test_rejected_add_nets_answers_422_and_changes_nothing(self):
+        """An ECL group with no free terminating resistor is a rejected
+        edit, not a server error, and leaves no half-made net behind."""
+        board = Board.create(via_nx=12, via_ny=12, n_signal_layers=2)
+        pins = [
+            place_pin(board, ViaPoint(x, y), role).pin_id
+            for x, y, role in (
+                (2, 2, PinRole.OUTPUT), (9, 2, PinRole.INPUT),
+                (2, 9, PinRole.OUTPUT), (9, 9, PinRole.INPUT),
+            )
+        ]
+        board.add_net(pins[:2], family=LogicFamily.TTL)
+        bbuf, cbuf = io.StringIO(), io.StringIO()
+        write_board(board, bbuf)
+        write_connections(Stringer(board).string_all(), cbuf)
+
+        async def scenario(server, host, port):
+            status, _ = await _call(
+                host, port, "POST", "/eco/begin",
+                {"session": "s", "board": bbuf.getvalue(),
+                 "connections": cbuf.getvalue()},
+            )
+            assert status == 200
+            status, payload = await _call(
+                host, port, "POST", "/eco/mutate",
+                {"session": "s",
+                 "ops": [{"op": "add_nets", "pin_groups": [pins[2:]]}]},
+            )
+            assert status == 422, payload
+            assert "no free terminating resistor" in payload["error"]
+            # The pins are still free: a TTL net over them goes in.
+            status, payload = await _call(
+                host, port, "POST", "/eco/mutate",
+                {"session": "s",
+                 "ops": [{"op": "add_nets", "pin_groups": [pins[2:]],
+                          "family": "TTL"}]},
+            )
+            assert status == 200, payload
+            assert payload["pending"] == 1
 
         self._run(scenario)
 

@@ -5,8 +5,13 @@ service the way a client sees it, over real HTTP round trips:
 
 * ``cold``     — sequential ``POST /route`` of the gate board
   (p50/p99 request latency);
-* ``burst``    — the same board routed N times concurrently
-  (throughput under admission control);
+* ``burst``    — the same board routed N times concurrently, against
+  a server with one admission slot and one with two (each ``/route``
+  slot is a worker process).  The throughput ratio, two slots over
+  one, is gated at ``--gate-burst-ratio`` when at least two CPUs are
+  usable and only recorded otherwise (it read 1.53-2.00 over seven
+  runs on a 2-core host, and 0.90-0.97 when ``/route`` jobs shared one
+  interpreter on threads);
 * ``warm``     — a named ECO session absorbing cut+re-add
   perturbations (each cycle cuts the nets the previous cycle added,
   using the ``net_ids`` the mutate response reports): ``POST
@@ -23,7 +28,7 @@ service the way a client sees it, over real HTTP round trips:
   SIGTERM, and assert exit 0.
 
     PYTHONPATH=src python benchmarks/bench_serve.py --smoke \\
-        --gate-warm-ratio 0.5
+        --gate-warm-ratio 0.5 --gate-burst-ratio 1.3
 
 Results land in ``BENCH_serve.json`` (and, under Actions, a gate table
 in the step summary).
@@ -80,6 +85,13 @@ WARM_CYCLES = 5
 
 #: Concurrent requests in the throughput and overload bursts.
 BURST = 4
+
+#: Timed bursts per slot count, alternating between the two servers;
+#: the median is reported.
+BURST_ROUNDS = 3
+
+#: Admission slots (worker processes) the burst leg compares.
+BURST_SLOTS = (1, 2)
 
 #: Absolute allowance on the warm gate — sub-second requests flake on
 #: tens-of-ms scheduler noise under a pure ratio.
@@ -157,7 +169,7 @@ async def _timed_route(host, port, body) -> float:
 
 
 async def _run_latency_legs(board_text, conn_text, nets, groups):
-    """Cold latency, concurrent throughput, warm reroute cycles."""
+    """Cold latency and warm reroute cycles."""
     server = RoutingServer(ServeConfig(port=0, max_concurrent=2))
     host, port = await server.start()
     route_body = {"board": board_text, "connections": conn_text}
@@ -166,12 +178,6 @@ async def _run_latency_legs(board_text, conn_text, nets, groups):
             await _timed_route(host, port, route_body)
             for _ in range(COLD_REQUESTS)
         ]
-
-        started = time.perf_counter()
-        await asyncio.gather(
-            *(_timed_route(host, port, route_body) for _ in range(BURST))
-        )
-        burst_seconds = time.perf_counter() - started
 
         status, _, payload = await _request(
             host, port, "POST", "/eco/begin",
@@ -224,11 +230,59 @@ async def _run_latency_legs(board_text, conn_text, nets, groups):
         await server.shutdown()
     return {
         "cold": cold,
-        "burst_seconds": burst_seconds,
         "warm": warm,
         "reused": reused,
         "rerouted": rerouted,
     }
+
+
+async def _run_burst_leg(
+    board_text: str, conn_text: str
+) -> Dict[int, float]:
+    """Median seconds for BURST concurrent routes, per slot count.
+
+    One server per slot count, all alive at once; each first routes one
+    request per slot so that its worker processes are up before the
+    timed bursts, which alternate between the servers.
+    """
+    route_body = {"board": board_text, "connections": conn_text}
+    servers = {
+        slots: RoutingServer(ServeConfig(port=0, max_concurrent=slots))
+        for slots in BURST_SLOTS
+    }
+    samples: Dict[int, List[float]] = {slots: [] for slots in BURST_SLOTS}
+    try:
+        addresses = {
+            slots: await server.start() for slots, server in servers.items()
+        }
+
+        async def burst(slots: int, requests: int) -> float:
+            host, port = addresses[slots]
+            started = time.perf_counter()
+            await asyncio.gather(
+                *(
+                    _timed_route(host, port, route_body)
+                    for _ in range(requests)
+                )
+            )
+            return time.perf_counter() - started
+
+        for slots in BURST_SLOTS:
+            await burst(slots, slots)
+        for _ in range(BURST_ROUNDS):
+            for slots in BURST_SLOTS:
+                samples[slots].append(await burst(slots, BURST))
+    finally:
+        for server in servers.values():
+            await server.shutdown()
+    return {slots: _percentile(samples[slots], 0.5) for slots in BURST_SLOTS}
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
 
 
 async def _run_overload_leg(board_text: str, conn_text: str) -> Dict:
@@ -345,12 +399,27 @@ def run_benchmark(smoke: bool) -> Dict:
     cold_p99 = round(_percentile(legs["cold"], 0.99), 3)
     warm_p50 = round(_percentile(legs["warm"], 0.5), 3)
     warm_p99 = round(_percentile(legs["warm"], 0.99), 3)
-    throughput = round(BURST / legs["burst_seconds"], 2)
     print(
         f"{GATE_BOARD:12s} cold p50={cold_p50}s p99={cold_p99}s | "
-        f"burst {BURST} in {legs['burst_seconds']:.2f}s "
-        f"({throughput} req/s) | warm p50={warm_p50}s p99={warm_p99}s "
+        f"warm p50={warm_p50}s p99={warm_p99}s "
         f"(reused {legs['reused']}, rerouted {legs['rerouted']})",
+        flush=True,
+    )
+    burst_seconds = asyncio.run(_run_burst_leg(board_text, conn_text))
+    throughput = {
+        slots: round(BURST / seconds, 2)
+        for slots, seconds in burst_seconds.items()
+    }
+    one, many = BURST_SLOTS[0], BURST_SLOTS[-1]
+    burst_ratio = round(throughput[many] / throughput[one], 3)
+    print(
+        "burst        "
+        + " | ".join(
+            f"{slots} slot(s): {BURST} in {burst_seconds[slots]:.2f}s "
+            f"({throughput[slots]} req/s)"
+            for slots in BURST_SLOTS
+        )
+        + f" | {many}/{one} = {burst_ratio} on {_usable_cpus()} CPU(s)",
         flush=True,
     )
     overload = asyncio.run(_run_overload_leg(board_text, conn_text))
@@ -378,8 +447,16 @@ def run_benchmark(smoke: bool) -> Dict:
         },
         "burst": {
             "concurrent": BURST,
-            "seconds": round(legs["burst_seconds"], 3),
-            "requests_per_second": throughput,
+            "rounds": BURST_ROUNDS,
+            "usable_cpus": _usable_cpus(),
+            "slots": {
+                str(slots): {
+                    "median_seconds": round(burst_seconds[slots], 3),
+                    "requests_per_second": throughput[slots],
+                }
+                for slots in BURST_SLOTS
+            },
+            "throughput_ratio": burst_ratio,
         },
         "warm": {
             "cycles": WARM_CYCLES,
@@ -399,10 +476,28 @@ def run_benchmark(smoke: bool) -> Dict:
 
 
 def evaluate_gate(
-    report: Dict, gate_warm_ratio: Optional[float]
+    report: Dict,
+    gate_warm_ratio: Optional[float],
+    gate_burst_ratio: Optional[float] = None,
 ) -> Tuple[List[str], List[Tuple]]:
     """Gate violations plus step-summary rows."""
     violations = []
+    burst = report["burst"]
+    burst_ratio = burst["throughput_ratio"]
+    burst_gated = gate_burst_ratio is not None and burst["usable_cpus"] >= 2
+    burst_ok = not burst_gated or burst_ratio >= gate_burst_ratio
+    if not burst_ok:
+        violations.append(
+            f"burst throughput with {BURST_SLOTS[-1]} slots is "
+            f"{burst_ratio}x that with {BURST_SLOTS[0]}, below "
+            f"{gate_burst_ratio}x"
+        )
+    if gate_burst_ratio is None:
+        burst_gate = "—"
+    elif burst_gated:
+        burst_gate = f">= {gate_burst_ratio}x"
+    else:
+        burst_gate = "recorded only: 1 usable CPU"
     cold_p50 = report["cold"]["p50_seconds"]
     warm_p50 = report["warm"]["p50_seconds"]
     warm_ok = True
@@ -430,6 +525,16 @@ def evaluate_gate(
             if gate_warm_ratio is not None
             else "—",
             gate_mark(warm_ok),
+        ),
+        (
+            f"burst {BURST_SLOTS[-1]} vs {BURST_SLOTS[0]} slot(s)",
+            f"{burst_ratio}x throughput",
+            " / ".join(
+                f"{row['requests_per_second']} req/s"
+                for row in burst["slots"].values()
+            ),
+            burst_gate,
+            gate_mark(burst_ok),
         ),
         (
             "overload 429",
@@ -471,6 +576,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="fail if the warm reroute p50 is slower than X * the cold "
         "route p50 (plus the fixed noise grace)",
     )
+    parser.add_argument(
+        "--gate-burst-ratio",
+        type=float,
+        default=None,
+        metavar="X",
+        help="fail if a burst routes less than X times as fast with two "
+        "admission slots as with one (enforced only when at least two "
+        "CPUs are usable)",
+    )
     args = parser.parse_args(argv)
     report = run_benchmark(smoke=args.smoke)
     with open(args.out, "w") as f:
@@ -478,16 +592,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         f.write("\n")
     print(
         f"wrote {args.out}: warm/cold p50 = "
-        f"{report['summary']['warm_over_cold_p50']}"
+        f"{report['summary']['warm_over_cold_p50']}, burst "
+        f"{BURST_SLOTS[-1]}/{BURST_SLOTS[0]} slots = "
+        f"{report['burst']['throughput_ratio']}"
     )
-    violations, summary_rows = evaluate_gate(report, args.gate_warm_ratio)
+    violations, summary_rows = evaluate_gate(
+        report, args.gate_warm_ratio, args.gate_burst_ratio
+    )
     append_table(
         "Routing service (bench_serve)",
         ("leg", "p50 / outcome", "p99 / detail", "gate", "status"),
         summary_rows,
         note=f"board={GATE_BOARD} scale={SUITE_SCALE}; warm cycles "
-        f"cut and re-add {PERTURB_K} nets each; overload leg runs "
-        "max_concurrent=1, queue_depth=0.",
+        f"cut and re-add {PERTURB_K} nets each; burst leg: median of "
+        f"{BURST_ROUNDS} alternating bursts of {BURST} per slot count; "
+        "overload leg runs max_concurrent=1, queue_depth=0.",
     )
     if violations:
         for violation in violations:

@@ -777,7 +777,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-concurrent",
         type=int,
         default=2,
-        help="routing jobs allowed to run at once",
+        help="routing jobs allowed to run at once; also the number of "
+        "worker processes for /route jobs and of threads for warm ECO "
+        "jobs",
     )
     p.add_argument(
         "--queue-depth",

@@ -92,6 +92,12 @@ class WorkspaceAuditError(RuntimeError):
             f"({len(report.violations)} violation(s)):\n  {detail}"
         )
 
+    def __reduce__(self):
+        # The default rebuilds from ``args`` (the formatted message),
+        # which is not what ``__init__`` takes.  A ``grr serve`` worker
+        # process sends its exceptions back pickled.
+        return type(self), (self.report, self.context)
+
 
 class RestoreBlockedError(RuntimeError):
     """A route that must always fit back could not be restored.
@@ -110,6 +116,9 @@ class RestoreBlockedError(RuntimeError):
             f"route for connection {conn_id} could not be restored; "
             f"blocked by:\n  {detail}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.conn_id, self.blockers)
 
 
 class WorkspaceAuditor:

@@ -16,6 +16,10 @@ the expensive state alive between HTTP calls:
   asyncio consumers, so ``GET /jobs/{id}/events`` streams the same
   events ``JsonlSink`` would log, as Server-Sent Events.
 
+Cold ``/route`` jobs run in worker processes, one per admission slot;
+warm ECO jobs run on server threads beside their sessions (see
+:mod:`repro.serve.server`).
+
 Everything is stdlib (``asyncio`` + a thin hand-rolled HTTP/1.1 front);
 there are no new dependencies.  ``grr serve`` is the CLI entry point;
 see ``docs/API.md`` ("Serving") for the endpoint reference.

@@ -8,7 +8,10 @@ rejection carrying a Retry-After hint derived from observed job times,
 which is the contract a load-balancer or client backoff loop needs.
 
 Single-loop discipline: every method runs on the event loop; routing
-itself happens in executor threads, so the controller never blocks.
+itself happens in worker processes (``/route``) and executor threads
+(warm ECO jobs), so the controller never blocks.  ``max_concurrent``
+covers both job kinds, and the server keeps that many ``/route``
+workers and ECO threads, so an admitted job never waits for either.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ class AdmissionRejected(Exception):
         self.running = running
         self.queued = queued
         self.retry_after = retry_after
+
+    def __reduce__(self):
+        return type(self), (self.running, self.queued, self.retry_after)
 
 
 class AdmissionController:

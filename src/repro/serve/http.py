@@ -48,6 +48,9 @@ class HttpError(Exception):
         self.message = message
         self.headers = headers or {}
 
+    def __reduce__(self):
+        return type(self), (self.status, self.message, self.headers)
+
 
 class Request:
     """One parsed request."""

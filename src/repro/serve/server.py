@@ -15,11 +15,17 @@ Endpoint surface (see ``docs/API.md`` → "Serving"):
 ``GET /healthz``         capacity, counters, process bookkeeping
 =======================  ==============================================
 
-Threading model: the event loop owns all bookkeeping (jobs, sessions,
-admission); routing runs in a bounded thread pool sized to the
-admission ``max_concurrent``, so an admitted job always has a thread.
-Each job gets an :class:`AsyncSink` bridging its event stream back to
-SSE subscribers.
+Concurrency model: the event loop owns all bookkeeping (jobs, sessions,
+admission).  A cold ``/route`` job shares nothing with other jobs, so it
+runs in a worker process (:func:`_route_job`) and two jobs never share
+an interpreter lock.  There is one single-process executor per
+admission slot (``max_concurrent``), each started on the first
+``/route`` that needs it, so an admitted ``/route`` job always finds an
+idle worker, and a worker that dies fails only the job it was running.
+Warm ECO jobs mutate workspaces that live in the server process, so
+they run in a thread pool of the same size.  Each job gets an
+:class:`AsyncSink` feeding SSE subscribers: ECO jobs stream live, a
+``/route`` job's events arrive in one batch when it ends.
 """
 
 from __future__ import annotations
@@ -27,12 +33,13 @@ from __future__ import annotations
 import asyncio
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Set, Tuple
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.api import begin_eco, request_from_text, route as api_route
 from repro.board.technology import LogicFamily
 from repro.channels.workspace import RoutingWorkspace
+from repro.core.budget import RouteBudget
 from repro.core.profiling import RouterProfile
 from repro.core.result import Strategy
 from repro.eco import EcoError, EcoSession
@@ -60,6 +67,9 @@ from repro.serve.http import (
 from repro.serve.jobs import Job, JobRegistry
 from repro.serve.sessions import ManagedSession, SessionManager
 from repro.serve.sink import AsyncSink
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
 
 
 def _input_status(exc: InputError) -> int:
@@ -99,9 +109,83 @@ def _optional_timeout(body: Dict[str, object]) -> Optional[float]:
     if value is None:
         return None
     try:
-        return float(value)  # type: ignore[arg-type]
+        timeout = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
         raise HttpError(400, "timeout must be a number")
+    # NaN fails every comparison, so it would slip past the ceiling clamp.
+    if not timeout >= 0.0:
+        raise HttpError(400, "timeout must be a non-negative number")
+    return timeout
+
+
+def _route_payload(response, workspace, include_routes: bool) -> Dict:
+    result = response.result
+    payload: Dict[str, object] = {
+        "total": result.total_count,
+        "routed": result.routed_count,
+        "failed": len(result.failed),
+        "complete": result.complete,
+        "stopped_reason": response.stopped_reason,
+        "elapsed_seconds": round(response.elapsed_seconds, 6),
+        "counters": dict(response.counters),
+    }
+    if include_routes:
+        buffer = io.StringIO()
+        save_route_dump(workspace, buffer)
+        payload["routes"] = buffer.getvalue()
+    return payload
+
+
+def _route_job(
+    board_text: str,
+    connections_text: Optional[str],
+    board_format: str,
+    budget: RouteBudget,
+    include_routes: bool,
+    event_capacity: int,
+) -> Tuple[Dict, List[Dict[str, object]], int]:
+    """One ``/route`` job, run in a worker process.
+
+    Returns the response payload, the job's event records (the dicts
+    :class:`AsyncSink` logs) and how many events were dropped past
+    ``event_capacity``.  An exception goes back to the server pickled,
+    which every ``repro`` exception survives.
+    """
+    sink = AsyncSink(capacity=event_capacity)
+    request = request_from_text(
+        board_text,
+        connections_text,
+        format=board_format,
+        budget=budget,
+        sink=sink,
+    )
+    response = api_route(request)
+    payload = _route_payload(
+        response, response.result.workspace, include_routes
+    )
+    return payload, sink.snapshot(), sink.dropped
+
+
+def _start_worker() -> "ProcessPoolExecutor":
+    """A one-process executor for ``/route`` jobs.
+
+    Imported here so that the process machinery stays out of server
+    start-up; the worker itself starts on the first job submitted.
+    """
+    import multiprocessing
+    import signal
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=1,
+        # Never fork: the server already runs threads and holds a
+        # listening socket.
+        mp_context=multiprocessing.get_context("spawn"),
+        # A terminal Ctrl-C signals the whole process group; the server
+        # shuts its workers down itself.
+        initializer=signal.signal,
+        initargs=(signal.SIGINT, signal.SIG_IGN),
+    )
 
 
 class RoutingServer:
@@ -116,7 +200,9 @@ class RoutingServer:
         #: to each job's AsyncSink instead.
         self.sink = sink if sink is not None else NULL_SINK
         #: serve_accepts / serve_admits / serve_rejects / serve_evicts
-        #: counters, mirroring the four serve events one-for-one.
+        #: counters, mirroring the four serve events one-for-one, and
+        #: serve_worker_restarts (executors replaced after their worker
+        #: process died).
         self.profile = RouterProfile()
         self.jobs = JobRegistry(config.max_jobs_retained)
         self.sessions = SessionManager(config.session_ttl_seconds)
@@ -127,6 +213,11 @@ class RoutingServer:
             max_workers=config.max_concurrent,
             thread_name_prefix="grr-serve",
         )
+        #: Idle ``/route`` executors, one per admission slot; None until
+        #: a slot's first job starts one (see :meth:`_route_in_worker`).
+        self._idle_workers: List[Optional["ProcessPoolExecutor"]] = [
+            None
+        ] * config.max_concurrent
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._evictor: Optional[asyncio.Task] = None
@@ -168,6 +259,10 @@ class RoutingServer:
             await asyncio.gather(*self._tasks, return_exceptions=True)
         self.sessions.close_all()
         self._executor.shutdown(wait=True)
+        for pool in self._idle_workers:
+            if pool is not None:
+                pool.shutdown(wait=True)
+        self._idle_workers = [None] * len(self._idle_workers)
 
     async def _evict_loop(self) -> None:
         while True:
@@ -217,10 +312,11 @@ class RoutingServer:
         self,
         job: Job,
         grant: Optional[asyncio.Future],
-        work,
+        run,
         managed: Optional[ManagedSession] = None,
     ) -> None:
-        """Run one admitted (or queued) job to completion."""
+        """Run one admitted (or queued) job to completion; ``run()``
+        returns an awaitable of the job's result payload."""
         loop = self._loop
         try:
             if grant is not None:
@@ -249,14 +345,10 @@ class RoutingServer:
             try:
                 if managed is not None:
                     async with managed.lock:
-                        job.result = await loop.run_in_executor(
-                            self._executor, work
-                        )
+                        job.result = await run()
                         self.sessions.touch(managed)
                 else:
-                    job.result = await loop.run_in_executor(
-                        self._executor, work
-                    )
+                    job.result = await run()
                 job.state = "done"
                 job.status = 200
             except InputError as exc:  # the request's input, not routing
@@ -279,23 +371,40 @@ class RoutingServer:
         task.add_done_callback(self._tasks.discard)
         return task
 
-    @staticmethod
-    def _route_payload(response, workspace, include_routes: bool) -> Dict:
-        result = response.result
-        payload: Dict[str, object] = {
-            "total": result.total_count,
-            "routed": result.routed_count,
-            "failed": len(result.failed),
-            "complete": result.complete,
-            "stopped_reason": response.stopped_reason,
-            "elapsed_seconds": round(response.elapsed_seconds, 6),
-            "counters": dict(response.counters),
-        }
-        if include_routes:
-            buffer = io.StringIO()
-            save_route_dump(workspace, buffer)
-            payload["routes"] = buffer.getvalue()
+    async def _route_in_worker(self, sink: AsyncSink, args: Tuple) -> Dict:
+        """Run one ``/route`` job in an idle worker and deliver its
+        events to ``sink``.
+
+        Admission never runs more jobs than there are slots, so an idle
+        executor is always there to pop.  A worker that died broke only
+        its own executor: that executor is replaced and counted, and
+        only the job it was running fails.
+        """
+        pool = self._idle_workers.pop()
+        try:
+            if pool is not None:
+                try:
+                    future = pool.submit(_route_job, *args)
+                except BrokenExecutor:  # the worker died while idle
+                    self._discard_worker(pool)
+                    pool = None
+            if pool is None:
+                pool = _start_worker()
+                future = pool.submit(_route_job, *args)
+            try:
+                payload, records, dropped = await asyncio.wrap_future(future)
+            except BrokenExecutor:  # the worker died running this job
+                self._discard_worker(pool)
+                pool = None
+                raise
+        finally:
+            self._idle_workers.append(pool)
+        sink.extend(records, dropped)
         return payload
+
+    def _discard_worker(self, pool: "ProcessPoolExecutor") -> None:
+        pool.shutdown(wait=False)
+        self.profile.bump("serve_worker_restarts")
 
     # ------------------------------------------------------------------
     # handlers
@@ -310,22 +419,19 @@ class RoutingServer:
         wait = bool(body.get("wait", True))
         budget = self.config.budget_for(_optional_timeout(body))
         job, grant = self._accept("/route", "route")
-        sink = job.sink
-
-        def work() -> Dict:
-            req = request_from_text(
-                board_text,
-                connections_text,
-                format=board_format,
-                budget=budget,
-                sink=sink,
+        args = (
+            board_text,
+            connections_text,
+            board_format,
+            budget,
+            include_routes,
+            self.config.event_capacity,
+        )
+        task = self._spawn(
+            self._execute_job(
+                job, grant, lambda: self._route_in_worker(job.sink, args)
             )
-            response = api_route(req)
-            return self._route_payload(
-                response, response.result.workspace, include_routes
-            )
-
-        task = self._spawn(self._execute_job(job, grant, work))
+        )
         if wait:
             await asyncio.shield(task)
             await send_json(writer, job.status, job.to_dict())
@@ -403,13 +509,19 @@ class RoutingServer:
             response = api_route(req)
             session = begin_eco(req, response)
             self.sessions.fulfill(managed, session)
-            payload = self._route_payload(
+            payload = _route_payload(
                 response, session.workspace, include_routes
             )
             payload["session"] = name
             return payload
 
-        task = self._spawn(self._execute_job(job, grant, work))
+        task = self._spawn(
+            self._execute_job(
+                job,
+                grant,
+                lambda: self._loop.run_in_executor(self._executor, work),
+            )
+        )
         await asyncio.shield(task)
         if job.state != "done":
             self.sessions.abort(managed)
@@ -522,14 +634,19 @@ class RoutingServer:
                 response = session.reroute(budget=budget)
             finally:
                 session.sink = previous_sink
-            payload = self._route_payload(
+            payload = _route_payload(
                 response, session.workspace, include_routes
             )
             payload["session"] = name
             return payload
 
         task = self._spawn(
-            self._execute_job(job, grant, work, managed=managed)
+            self._execute_job(
+                job,
+                grant,
+                lambda: self._loop.run_in_executor(self._executor, work),
+                managed=managed,
+            )
         )
         if wait:
             await asyncio.shield(task)

@@ -1,12 +1,15 @@
 """AsyncSink: the bridge from the routing event stream to asyncio.
 
-Routing runs synchronously in executor threads; SSE consumers live on
-the event loop.  :class:`AsyncSink` is an :class:`~repro.obs.sinks.
-EventSink` whose :meth:`emit` is thread-safe — events are flattened to
+SSE consumers live on the event loop; the events come from elsewhere.
+A warm ECO job routes synchronously in an executor thread and calls
+:meth:`AsyncSink.emit`, which is thread-safe — events are flattened to
 their JSON dicts immediately (the same shape ``JsonlSink`` writes, so a
 trace file and an SSE stream of the same run are line-for-line
-identical) and appended to an in-memory log; loop-side subscribers are
-woken through ``call_soon_threadsafe``.
+identical), appended to an in-memory log, and loop-side subscribers are
+woken through ``call_soon_threadsafe``.  A cold ``/route`` job routes
+in a worker process into a loop-less ``AsyncSink`` of its own; the
+server hands the records it returns to the job's sink with
+:meth:`AsyncSink.extend`, which wakes subscribers once.
 
 Subscribers replay from any index and then follow the live tail, so a
 client that connects after the job finished still gets the full
@@ -59,6 +62,20 @@ class AsyncSink(EventSink):
                 self.dropped += 1
                 return
             self._events.append(record)
+        self._wake_soon()
+
+    def extend(
+        self, records: List[Dict[str, object]], dropped: int = 0
+    ) -> None:
+        """Append already-flattened records in one batch, bounded like
+        :meth:`emit`; ``dropped`` adds the producer's own drop count."""
+        with self._lock:
+            if self._closed:
+                self.dropped += len(records) + dropped
+                return
+            room = max(0, self._capacity - len(self._events))
+            self._events.extend(records[:room])
+            self.dropped += dropped + max(0, len(records) - room)
         self._wake_soon()
 
     def close(self) -> None:

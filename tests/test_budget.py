@@ -5,7 +5,7 @@ a fake clock), the removal of the flat ``RouterConfig`` knobs, and the
 routing-level contract: an exhausted budget yields a *partial but valid*
 result — auditor-clean workspace, ``stopped_reason`` set, per-connection
 failure reasons — for one router alone and for four routing at once from
-threads, the way ``grr serve`` runs jobs.
+threads, the way ``grr serve`` runs warm ECO jobs.
 """
 
 import dataclasses

@@ -1,9 +1,11 @@
 """Thread-level concurrency: concurrent route() calls and coexisting
 ECO sessions.
 
-The serving layer runs routing jobs from a thread pool, so the library
-must tolerate concurrent `route()` calls and multiple live EcoSessions
-in one process — no shared mutable state between independent requests.
+The serving layer runs cold `/route` jobs in worker processes but warm
+ECO jobs (`/eco/begin`, `/eco/reroute`) from a thread pool, so the
+library must tolerate concurrent `route()` calls and multiple live
+EcoSessions in one process — no shared mutable state between
+independent requests.
 """
 
 from __future__ import annotations

@@ -170,7 +170,7 @@ def _titan_problem(name):
 
 def _audited_routers_in_threads(name, count=2):
     """Route ``count`` copies of a Table 1 board at once from threads,
-    the way ``grr serve`` runs jobs, each with ``audit=True``."""
+    the way ``grr serve`` runs warm ECO jobs, each with ``audit=True``."""
 
     def run(_):
         board, connections = _titan_problem(name)

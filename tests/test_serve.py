@@ -3,23 +3,32 @@
 Unit layers (AsyncSink, AdmissionController, SessionManager, config)
 are tested with fake clocks and dummy sessions; the endpoint tests run
 a real :class:`RoutingServer` on an ephemeral port and speak HTTP/1.1
-over asyncio streams.  Shutdown is tested in process (the routing
-thread pool is joined) and, slow-marked, by running ``grr serve`` as a
-process and stopping it with SIGTERM.
+over asyncio streams.  ``/route`` jobs run in spawned worker processes:
+their routes must match an in-process route, a killed worker may fail
+only its own job, and malformed bodies are fuzzed.  Shutdown is tested
+in process (the ECO threads and the worker processes are joined) and,
+slow-marked, by running ``grr serve`` as a process and stopping it with
+SIGTERM or a Ctrl-C to its process group.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import http.client
 import io
 import json
+import multiprocessing
 import os
 import signal
+import string
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import request_from_text, route
 from repro.board.board import Board
@@ -41,7 +50,7 @@ from repro.grid.coords import ViaPoint
 from repro.stringer import Stringer
 from repro.workloads import make_titan_board
 
-from tests.conftest import place_pin
+from tests.conftest import place_pin, scaled
 
 
 def _board_texts(name="tna", scale=0.25, seed=3):
@@ -84,6 +93,40 @@ async def _call(host, port, verb, path, body=None):
     return status, json.loads(body_bytes) if body_bytes else {}
 
 
+@contextlib.contextmanager
+def _serving():
+    """A RoutingServer on an event loop of its own thread, for callers
+    that speak blocking HTTP; yields the port."""
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    server = RoutingServer(ServeConfig(port=0))
+    try:
+        _, port = asyncio.run_coroutine_threadsafe(
+            server.start(), loop
+        ).result(timeout=30)
+        yield port
+    finally:
+        asyncio.run_coroutine_threadsafe(server.shutdown(), loop).result(
+            timeout=60
+        )
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        loop.close()
+
+
+def _post(port, path, body):
+    """One blocking POST with a 30 s timeout; (status, JSON body)."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30.0)
+    try:
+        conn.request("POST", path, json.dumps(body))
+        response = conn.getresponse()
+        return response.status, json.loads(response.read() or b"{}")
+    finally:
+        conn.close()
+
+
 def _sse_kinds(body_bytes):
     """Event kinds from an SSE body, excluding the terminal frame."""
     kinds = []
@@ -120,6 +163,22 @@ class TestAsyncSink:
             sink.emit(PassStart(i, 0))
         assert len(sink) == 5
         assert sink.dropped == 4
+
+    def test_extend_is_bounded_and_keeps_the_producers_drops(self):
+        """A worker's records arrive in one batch under the same bound,
+        and the drops the worker already counted carry over."""
+
+        async def main():
+            sink = AsyncSink(asyncio.get_running_loop(), capacity=5)
+            sink.emit(PassStart(0, 0))
+            sink.extend([PassStart(i, 0).to_dict() for i in (1, 2)], 3)
+            sink.extend([PassStart(i, 0).to_dict() for i in (3, 4, 5)])
+            sink.close()
+            got = [r["index"] async for _, r in sink.subscribe()]
+            assert got == [0, 1, 2, 3, 4]
+            assert sink.dropped == 3 + 1
+
+        asyncio.run(main())
 
     def test_emit_after_close_drops_instead_of_raising(self):
         # Contrast JsonlSink: the service tolerates lifecycle races
@@ -613,10 +672,266 @@ class TestHttpEndpoints:
         self._run(scenario, config)
 
 
+def _route_body(board_text, conn_text, **extra):
+    return {"board": board_text, "connections": conn_text, **extra}
+
+
+async def _reaped(pid, timeout=10.0):
+    """Wait until ``pid`` is gone from the process table: a worker's
+    executor reaps it only after marking itself broken."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError(f"worker {pid} was never reaped")
+
+
+class TestRouteWorkers:
+    """``/route`` jobs run in spawned worker processes."""
+
+    def _run(self, coro_fn, config=None):
+        async def main():
+            server = RoutingServer(config or ServeConfig(port=0))
+            host, port = await server.start()
+            try:
+                await coro_fn(server, host, port)
+            finally:
+                await server.shutdown()
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("name", ["tna", "coproc"])
+    def test_every_worker_returns_the_in_process_routes(self, name):
+        """Workers start under their own hash seeds; the routes they
+        send back equal an in-process route's, on both workers."""
+        board = make_titan_board(name, scale=0.30, seed=1)
+        bbuf, cbuf = io.StringIO(), io.StringIO()
+        write_board(board, bbuf)
+        write_connections(Stringer(board).string_all(), cbuf)
+        board_text, conn_text = bbuf.getvalue(), cbuf.getvalue()
+        response = route(request_from_text(board_text, conn_text))
+        expected = io.StringIO()
+        save_route_dump(response.result.workspace, expected)
+        body = _route_body(board_text, conn_text, include_routes=True)
+
+        async def scenario(server, host, port):
+            replies = await asyncio.gather(
+                *(_call(host, port, "POST", "/route", body) for _ in range(2))
+            )
+            assert len(multiprocessing.active_children()) == 2
+            for status, payload in replies:
+                assert status == 200, payload
+                assert payload["result"]["routes"] == expected.getvalue()
+
+        self._run(scenario)
+
+    def test_a_worker_killed_while_idle_is_replaced(self):
+        board_text, conn_text, _, _ = _board_texts()
+        body = _route_body(board_text, conn_text)
+
+        async def scenario(server, host, port):
+            status, _ = await _call(host, port, "POST", "/route", body)
+            assert status == 200
+            (worker,) = multiprocessing.active_children()
+            os.kill(worker.pid, signal.SIGKILL)
+            await _reaped(worker.pid)
+            status, payload = await _call(host, port, "POST", "/route", body)
+            assert status == 200, payload
+            assert payload["state"] == "done"
+            status, health = await _call(host, port, "GET", "/healthz")
+            assert health["counters"]["serve_worker_restarts"] == 1
+
+        self._run(scenario)
+
+    def test_a_killed_worker_fails_only_its_own_job(self):
+        """Two jobs in flight, one worker killed: its job answers 500,
+        the other job and the next one route."""
+        # A board slow enough that its job is still in flight when its
+        # worker is killed.
+        slow_board = make_titan_board("kdj11_2l", scale=0.30, seed=1)
+        bbuf, cbuf = io.StringIO(), io.StringIO()
+        write_board(slow_board, bbuf)
+        write_connections(Stringer(slow_board).string_all(), cbuf)
+        doomed = _route_body(bbuf.getvalue(), cbuf.getvalue())
+        board_text, conn_text, _, _ = _board_texts()
+        body = _route_body(board_text, conn_text)
+
+        async def until_workers(count):
+            for _ in range(1000):
+                children = multiprocessing.active_children()
+                if len(children) >= count:
+                    return children
+                await asyncio.sleep(0.01)
+            raise AssertionError(f"never saw {count} worker processes")
+
+        async def scenario(server, host, port):
+            first = asyncio.ensure_future(
+                _call(host, port, "POST", "/route", doomed)
+            )
+            (victim,) = await until_workers(1)
+            second = asyncio.ensure_future(
+                _call(host, port, "POST", "/route", body)
+            )
+            await until_workers(2)
+            os.kill(victim.pid, signal.SIGKILL)
+            status, payload = await first
+            assert status == 500
+            assert payload["error"].startswith("BrokenProcessPool: ")
+            status, payload = await second
+            assert status == 200 and payload["state"] == "done", payload
+            status, payload = await _call(host, port, "POST", "/route", body)
+            assert status == 200 and payload["state"] == "done", payload
+            status, health = await _call(host, port, "GET", "/healthz")
+            assert health["counters"]["serve_worker_restarts"] == 1
+
+        self._run(scenario)
+
+
+def _line_spans(text):
+    """(start, end) offsets of each line, without its newline."""
+    spans, start = [], 0
+    for line in text.splitlines(keepends=True):
+        spans.append((start, start + len(line.rstrip("\n"))))
+        start += len(line)
+    return spans
+
+
+def _malformed_route_body(data, board, board_text, conn_text, kicad_text):
+    """A /route body that is wrong in one drawn way; never a valid one."""
+    conn_lines = conn_text.splitlines()
+    conn_spans = _line_spans(conn_text)
+    kind = data.draw(
+        st.sampled_from(
+            [
+                "truncate_board",
+                "truncate_connections",
+                "garble",
+                "bad_reference",
+                "non_string",
+                "bad_timeout",
+                "truncate_kicad",
+            ]
+        )
+    )
+    if kind == "truncate_board":
+        # Cut before the last net any connection names, so the board
+        # either fails to parse or lacks that net.
+        last = max(int(line.split()[2]) for line in conn_lines)
+        net_starts = [
+            start
+            for (start, _), line in zip(
+                _line_spans(board_text), board_text.splitlines()
+            )
+            if line.startswith("net ")
+        ]
+        cut = data.draw(st.integers(0, net_starts[last] - 1))
+        return _route_body(board_text[:cut], conn_text)
+    if kind == "truncate_connections":
+        # Cut inside a record: a whole-line cut would be a valid list.
+        start, end = data.draw(st.sampled_from(conn_spans))
+        cut = data.draw(st.integers(start + 1, end - 1))
+        return _route_body(board_text, conn_text[:cut])
+    if kind == "garble":
+        # A numeric field becomes letters.
+        which = data.draw(st.sampled_from(["board", "connections"]))
+        lines = (board_text if which == "board" else conn_text).splitlines()
+        candidates = [
+            (i, j)
+            for i, line in enumerate(lines)
+            for j, field in enumerate(line.split())
+            if j > 0 and field.isdigit()
+        ]
+        i, j = data.draw(st.sampled_from(candidates))
+        fields = lines[i].split()
+        fields[j] = data.draw(
+            st.text(string.ascii_letters + "@%&", min_size=1, max_size=6)
+        )
+        lines[i] = " ".join(fields)
+        garbled = "\n".join(lines) + "\n"
+        if which == "board":
+            return _route_body(garbled, conn_text)
+        return _route_body(board_text, garbled)
+    if kind == "bad_reference":
+        # A net (field 2) or pin (fields 3, 4) id the board lacks.
+        i = data.draw(st.integers(0, len(conn_lines) - 1))
+        field = data.draw(st.sampled_from([2, 3, 4]))
+        limit = len(board.nets) if field == 2 else len(board.pins)
+        value = data.draw(
+            st.one_of(
+                st.integers(-(10**6), -1), st.integers(limit, limit + 10**6)
+            )
+        )
+        lines = list(conn_lines)
+        fields = lines[i].split()
+        fields[field] = str(value)
+        lines[i] = " ".join(fields)
+        return _route_body(board_text, "\n".join(lines) + "\n")
+    if kind == "non_string":
+        field = data.draw(st.sampled_from(["board", "connections", "format"]))
+        value = data.draw(
+            st.one_of(
+                st.none(),
+                st.booleans(),
+                st.integers(),
+                st.floats(allow_nan=False),
+                st.lists(st.integers(), max_size=3),
+                st.dictionaries(st.text(max_size=3), st.integers()),
+            )
+        )
+        return {**_route_body(board_text, conn_text), field: value}
+    if kind == "bad_timeout":
+        value = data.draw(
+            st.one_of(
+                st.floats(max_value=-1e-9),
+                st.just("NaN"),
+                st.text(string.ascii_letters, min_size=1, max_size=4).filter(
+                    lambda t: t.lower() not in ("inf", "nan", "infinity")
+                ),
+                st.lists(st.integers(), max_size=2),
+            )
+        )
+        return _route_body(board_text, conn_text, timeout=value)
+    # A .kicad_pcb cut before its closing parenthesis.
+    cut = data.draw(st.integers(0, kicad_text.rindex(")") - 1))
+    return {"board": kicad_text[:cut], "format": "kicad"}
+
+
+class TestRouteFuzz:
+    def test_malformed_route_bodies_answer_400_or_422(self):
+        """Truncated, garbled or mistyped bodies are refused with 400 or
+        422 in bounded time, never 500, and leave the workers usable."""
+        board_text, conn_text, board, _ = _board_texts()
+        fixture = os.path.join(
+            os.path.dirname(__file__), "fixtures", "charlie_th.kicad_pcb"
+        )
+        with open(fixture, encoding="utf-8") as stream:
+            kicad_text = stream.read()
+        with _serving() as port:
+
+            @settings(max_examples=scaled(150), deadline=None)
+            @given(data=st.data())
+            def post_malformed(data):
+                body = _malformed_route_body(
+                    data, board, board_text, conn_text, kicad_text
+                )
+                status, payload = _post(port, "/route", body)
+                assert status in (400, 422), payload
+
+            post_malformed()
+            status, payload = _post(
+                port, "/route", _route_body(board_text, conn_text)
+            )
+            assert status == 200 and payload["state"] == "done", payload
+
+
 class TestWarmPoolShutdown:
     def test_shutdown_leaves_no_orphaned_workers(self):
-        """Shutdown joins the routing threads that a route and a warm
-        session's reroute started, and closes the session."""
+        """Shutdown joins the worker process a route started and the
+        threads a warm session's begin and reroute started, and closes
+        the session."""
         board_text, conn_text, _, _ = _board_texts()
         before = set(threading.enumerate())
         workers = []
@@ -644,14 +959,35 @@ class TestWarmPoolShutdown:
                     t for t in threading.enumerate()
                     if t.name.startswith("grr-serve")
                 )
+                processes.extend(multiprocessing.active_children())
             finally:
                 await server.shutdown()
             assert server.sessions.names() == []
             assert not any(t.is_alive() for t in workers)
+            assert multiprocessing.active_children() == []
 
+        processes = []
         asyncio.run(main())
-        assert workers, "expected the route to start a pool thread"
+        assert workers, "expected the ECO jobs to start a pool thread"
+        assert processes, "expected the route to start a worker process"
+        assert not any(p.is_alive() for p in processes)
         assert set(threading.enumerate()) <= before
+
+
+def _start_grr_serve(**popen_kwargs):
+    """``grr serve --port 0`` as a process, stdout piped."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+        **popen_kwargs,
+    )
 
 
 @pytest.mark.slow
@@ -660,17 +996,7 @@ class TestShutdown:
         """``grr serve`` serves a route and a warm session, then SIGTERM
         closes it with exit code 0."""
         board_text, conn_text, _, connections = _board_texts()
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
-            stdout=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
+        proc = _start_grr_serve()
         try:
             banner = proc.stdout.readline()
             assert "listening on http://" in banner
@@ -699,3 +1025,31 @@ class TestShutdown:
                 proc.kill()
                 proc.wait()
             proc.stdout.close()
+
+    def test_ctrl_c_to_the_process_group_exits_cleanly(self):
+        """A terminal Ctrl-C signals the server and its workers alike:
+        the server shuts down, exits 0 and writes nothing to stderr."""
+        board_text, conn_text, _, _ = _board_texts()
+        proc = _start_grr_serve(
+            stderr=subprocess.PIPE, start_new_session=True
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert "listening on http://" in banner
+            port = int(banner.rsplit(":", 1)[1])
+            status, payload = asyncio.run(
+                _call(
+                    "127.0.0.1", port, "POST", "/route",
+                    _route_body(board_text, conn_text),
+                )
+            )
+            assert status == 200, payload
+            os.killpg(proc.pid, signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=60)
+            assert proc.returncode == 0
+            assert "shutting down" in stdout
+            assert stderr == ""
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()

@@ -55,6 +55,13 @@ class _RecordingChannel(Channel):
         _TRACE.append((self._key, "add", lo, hi, owner, passable))
         return super().add(lo, hi, owner, passable)
 
+    def load_units(self, cells, owners):
+        # The workspace's one-pass pin install: journal it as the unit
+        # adds it replaces, so the replay starts from a pinned board.
+        for cell, owner in zip(cells, owners):
+            _TRACE.append((self._key, "add", cell, cell, owner, frozenset()))
+        return super().load_units(cells, owners)
+
     def remove(self, lo, hi, owner):
         _TRACE.append((self._key, "remove", lo, hi, owner))
         return super().remove(lo, hi, owner)

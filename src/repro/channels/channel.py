@@ -19,8 +19,8 @@ Invariants (checked by tests and hypothesis properties):
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import FrozenSet, Iterator, List, Optional, Tuple
+from bisect import bisect_left
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.channels.segment import Segment
 
@@ -67,6 +67,14 @@ class Channel:
             yield Segment(self._los[i], self._his[i], self._owners[i])
             i += 1
 
+    def spans(self) -> Iterator[Tuple[int, int, int]]:
+        """``(lo, hi, owner)`` of every segment in order, as plain tuples.
+
+        A read-only view for whole-board scans (:mod:`repro.verify.drc`)
+        that would otherwise build a :class:`Segment` per segment.
+        """
+        return zip(self._los, self._his, self._owners)
+
     def owner_at(self, x: int) -> Optional[int]:
         """Owner of the segment covering cell ``x``, or None if free."""
         i = self._first_overlap_index(x)
@@ -78,9 +86,13 @@ class Channel:
         self, lo: int, hi: int, passable: FrozenSet[int] = NO_PASSABLE
     ) -> bool:
         """True if no cell in ``[lo, hi]`` is used by a non-passable owner."""
-        for seg in self.overlapping(lo, hi):
-            if seg.owner not in passable:
+        los, owners = self._los, self._owners
+        n = len(los)
+        i = bisect_left(self._his, lo)
+        while i < n and los[i] <= hi:
+            if owners[i] not in passable:
                 return False
+            i += 1
         return True
 
     def free_gaps(
@@ -180,31 +192,62 @@ class Channel:
         earlier pieces, and its traces start and end on cells occupied by
         its endpoint pins' vias.  The return value is the list of actually
         inserted sub-intervals — exactly what must later be removed.
-        Overlap with any other owner raises :class:`ChannelConflictError`.
+        Overlap with any other owner raises :class:`ChannelConflictError`
+        and leaves the channel unchanged.
+
+        One bisect finds the first overlapping segment and one scan over
+        the parallel arrays both checks the overlaps and cuts the pieces
+        from the gaps between them; each piece is then inserted before
+        the segment that ends its gap.  When nothing overlaps — every
+        pin, via and fresh trace — that is exactly one insert per array.
         """
         if hi < lo:
             raise ValueError(f"empty interval [{lo}, {hi}]")
-        blockers = []
-        for seg in self.overlapping(lo, hi):
-            if seg.owner != owner and seg.owner not in passable:
-                raise ChannelConflictError(
-                    f"[{lo},{hi}] owner {owner} overlaps {seg}"
-                )
-            blockers.append(seg)
-        pieces: List[Tuple[int, int]] = []
+        los, his, owners = self._los, self._his, self._owners
+        i = bisect_left(his, lo)
+        n = len(los)
+        if i == n or los[i] > hi:
+            los.insert(i, lo)
+            his.insert(i, hi)
+            owners.insert(i, owner)
+            return [(lo, hi)]
+        # (piece lo, piece hi, index of the segment the piece precedes)
+        cuts: List[Tuple[int, int, int]] = []
         cursor = lo
-        for seg in blockers:
-            if seg.lo > cursor:
-                pieces.append((cursor, min(seg.lo - 1, hi)))
-            cursor = max(cursor, seg.hi + 1)
+        j = i
+        while j < n and los[j] <= hi:
+            other = owners[j]
+            if other != owner and other not in passable:
+                raise ChannelConflictError(
+                    f"[{lo},{hi}] owner {owner} overlaps "
+                    f"{Segment(los[j], his[j], other)}"
+                )
+            if los[j] > cursor:
+                cuts.append((cursor, los[j] - 1, j))
+            if his[j] >= cursor:
+                cursor = his[j] + 1
+            j += 1
         if cursor <= hi:
-            pieces.append((cursor, hi))
-        for plo, phi in pieces:
-            i = bisect_right(self._los, plo)
-            self._los.insert(i, plo)
-            self._his.insert(i, phi)
-            self._owners.insert(i, owner)
-        return pieces
+            cuts.append((cursor, hi, j))
+        # Insert from the right so the earlier indices stay valid.
+        for plo, phi, k in reversed(cuts):
+            los.insert(k, plo)
+            his.insert(k, phi)
+            owners.insert(k, owner)
+        return [(plo, phi) for plo, phi, _ in cuts]
+
+    def load_units(self, cells: Sequence[int], owners: Sequence[int]) -> None:
+        """Fill an empty channel with unit segments ``[x, x]``.
+
+        ``cells`` must be sorted and distinct, ``owners[k]`` owning
+        ``cells[k]``.  The result equals one :meth:`add` per cell in any
+        order; the workspace's one-pass pin install uses it.
+        """
+        if self._los:
+            raise ValueError("load_units needs an empty channel")
+        self._los[:] = cells
+        self._his[:] = cells
+        self._owners[:] = owners
 
     def remove(self, lo: int, hi: int, owner: int) -> None:
         """Remove the segment with exactly these bounds and owner.

@@ -20,7 +20,16 @@ faster than a numpy array, and it keeps the core numpy-free.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, FrozenSet, Iterator, Optional, Set
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.grid.coords import ViaPoint
 
@@ -108,6 +117,14 @@ class ViaMap:
             if count > 0:
                 yield ViaPoint(i // ny, i % ny)
 
+    def cover_counts(self) -> memoryview:
+        """Read-only view of the flat cover counts (``vx * via_ny + vy``).
+
+        Lets :func:`repro.verify.drc.run_drc` compare a whole recount
+        with one ``==`` instead of one :meth:`count` call per site.
+        """
+        return memoryview(self._count).toreadonly()
+
     # ------------------------------------------------------------------
     # updates (rare relative to probes)
     # ------------------------------------------------------------------
@@ -122,6 +139,27 @@ class ViaMap:
             self._sole[via] = owner
         elif self._sole.get(via) != owner:
             self._sole[via] = MIXED
+
+    def load_pins(self, pins: Iterable[Tuple[ViaPoint, int]]) -> None:
+        """Record drilled pin holes at free, distinct ``(site, owner)`` pairs.
+
+        Each site ends as :meth:`drill_via` on every layer leaves it:
+        covered by one unit segment per layer (count ``n_layers``), all
+        of them ``owner``'s, and drilled by ``owner``.  Drill records go
+        in in ``pins`` order.  ``update_count`` grows by the
+        :meth:`add_cover` calls this replaces.
+        """
+        n_layers, ny = self.n_layers, self.via_ny
+        count, sole, drilled = self._count, self._sole, self._drilled
+        added = 0
+        for via, owner in pins:
+            if via in drilled:
+                raise ValueError(f"via {via} already drilled")
+            count[via.vx * ny + via.vy] = n_layers
+            sole[via] = owner
+            drilled[via] = owner
+            added += 1
+        self.update_count += added * n_layers
 
     def remove_cover(
         self,

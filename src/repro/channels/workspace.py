@@ -18,7 +18,7 @@ from repro.channels.layer_data import ChannelPiece, LayerData
 from repro.channels.segment import FILL_OWNER
 from repro.channels.via_map import ViaMap
 from repro.grid.coords import GridPoint, ViaPoint
-from repro.grid.geometry import Box
+from repro.grid.geometry import Box, Orientation
 
 #: One installed segment: (layer_index, channel_index, lo, hi).
 InstalledSegment = Tuple[int, int, int, int]
@@ -119,13 +119,15 @@ class RoutingWorkspace:
                 f"segment [{lo},{hi}] outside channel of length "
                 f"{layer.channel_length}"
             )
-        pieces = layer.channel(channel_index).add(lo, hi, owner, passable)
-        installed = []
-        for plo, phi in pieces:
-            for via in layer.via_sites_in(channel_index, plo, phi):
-                self.via_map.add_cover(via, owner)
-            installed.append((layer_index, channel_index, plo, phi))
-        return installed
+        pieces = layer.channels[channel_index].add(lo, hi, owner, passable)
+        if layer.is_via_channel(channel_index):
+            add_cover = self.via_map.add_cover
+            for plo, phi in pieces:
+                for via in layer.via_sites_in(channel_index, plo, phi):
+                    add_cover(via, owner)
+        return [
+            (layer_index, channel_index, plo, phi) for plo, phi in pieces
+        ]
 
     def remove_segment(
         self, layer_index: int, channel_index: int, lo: int, hi: int, owner: int
@@ -182,9 +184,34 @@ class RoutingWorkspace:
                     pass
 
     def install_pins(self) -> None:
-        """Drill every part pin: pins connect to all routing layers."""
-        for pin in self.board.pins:
-            self.drill_via(pin.position, pin.owner_token)
+        """Drill every part pin: pins connect to all routing layers.
+
+        One pass over the pins instead of one :meth:`drill_via` each.
+        Board placement rejects off-board and doubly occupied pin sites,
+        so the channels are empty and the sites distinct here.  Each
+        site gets its via-map count (``n_layers``), sole owner and drill
+        record at once, and each channel takes its sorted unit segments
+        in one call.  The state equals drilling the pins one at a time
+        in board order, down to the via map's ``update_count`` and the
+        order of the drill records.
+        """
+        sites = [pin.position for pin in self.board.pins]
+        owners = [pin.owner_token for pin in self.board.pins]
+        self.via_map.load_pins(zip(sites, owners))
+        g = self.grid.grid_per_via
+        # Horizontal channels are rows, vertical ones columns.
+        xs = [vx * g for vx, _ in sites]
+        ys = [vy * g for _, vy in sites]
+        rows = _units_by_channel(ys, xs, owners)
+        columns = _units_by_channel(xs, ys, owners)
+        for layer in self.layers:
+            units = (
+                rows
+                if layer.orientation is Orientation.HORIZONTAL
+                else columns
+            )
+            for channel_index, (cells, unit_owners) in units.items():
+                layer.channels[channel_index].load_units(cells, unit_owners)
 
     # ------------------------------------------------------------------
     # route-level operations
@@ -224,9 +251,10 @@ class RoutingWorkspace:
         False (leaving the workspace untouched) if anything now blocks it.
         """
         conn = record.conn_id
+        own = frozenset((conn,))
         for layer_index, channel_index, lo, hi in record.segments:
-            channel = self.layers[layer_index].channel(channel_index)
-            if not channel.is_free(lo, hi, frozenset((conn,))):
+            channel = self.layers[layer_index].channels[channel_index]
+            if not channel.is_free(lo, hi, own):
                 return False
         for via in record.vias:
             if self.via_map.is_drilled(via):
@@ -348,6 +376,27 @@ class RoutingWorkspace:
         return sum(
             layer.n_channels * layer.channel_length for layer in self.layers
         )
+
+
+def _units_by_channel(
+    channel_of: List[int], cell_of: List[int], owners: List[int]
+) -> Dict[int, Tuple[List[int], List[int]]]:
+    """Per-channel ``(cells, owners)`` of unit segments, cells sorted.
+
+    Unit ``k`` lies at ``cell_of[k]`` of channel ``channel_of[k]``.
+    Sorting integer keys, not tuples, keeps the install from allocating
+    a container per pin.
+    """
+    stride = max(cell_of, default=0) + 1
+    keys = [c * stride + x for c, x in zip(channel_of, cell_of)]
+    units: Dict[int, Tuple[List[int], List[int]]] = {}
+    for k in sorted(range(len(keys)), key=keys.__getitem__):
+        entry = units.get(channel_of[k])
+        if entry is None:
+            entry = units[channel_of[k]] = ([], [])
+        entry[0].append(cell_of[k])
+        entry[1].append(owners[k])
+    return units
 
 
 class RouteBuilder:

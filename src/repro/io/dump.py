@@ -18,7 +18,7 @@ solution occupies precisely the same channels and via sites.
 
 from __future__ import annotations
 
-from typing import List, TextIO
+from typing import List, Set, TextIO
 
 from repro.channels.workspace import (
     RouteLink,
@@ -56,10 +56,36 @@ def save_routes(workspace: RoutingWorkspace, stream: TextIO) -> None:
 def load_routes(workspace: RoutingWorkspace, stream: TextIO) -> List[int]:
     """Reinstall dumped routes into a (pins-only) workspace.
 
-    Returns the connection ids restored.  Raises if any route no longer
-    fits — a dump only makes sense against the same board.
+    Returns the connection ids restored.  Raises :class:`RouteDumpError`
+    if the text is not a route dump, if a record is malformed (see
+    :func:`_check_record`) or if a route no longer fits — a dump only
+    makes sense against the same board.  Every record is read and
+    checked before the workspace is touched, and a route that does not
+    fit takes the ones restored before it back out: on any error the
+    workspace is left as it was.
     """
+    records = _read_records(workspace, stream)
     restored: List[int] = []
+    try:
+        for record in records:
+            if not workspace.restore_record(record):
+                raise RouteDumpError(
+                    f"route {record.conn_id} no longer fits this board"
+                )
+            restored.append(record.conn_id)
+    except BaseException:
+        for conn_id in reversed(restored):
+            workspace.remove_connection(conn_id)
+        raise
+    return restored
+
+
+def _read_records(
+    workspace: RoutingWorkspace, stream: TextIO
+) -> List[RouteRecord]:
+    """Parse and check every record of a dump; touches no state."""
+    records: List[RouteRecord] = []
+    seen: Set[int] = set(workspace.records)
     record: RouteRecord = None  # type: ignore[assignment]
     for line_no, raw in enumerate(stream, 1):
         line = raw.strip()
@@ -68,8 +94,13 @@ def load_routes(workspace: RoutingWorkspace, stream: TextIO) -> List[int]:
         fields = line.split()
         kind = fields[0]
         try:
-            if kind == "route":
-                record = RouteRecord(conn_id=int(fields[1]))
+            # Most frequent kind first: a dump is mostly seg lines.
+            if kind == "seg":
+                if record is None:
+                    raise RouteDumpError("seg outside a route record")
+                record.segments.append(
+                    (int(fields[1]), int(fields[2]), int(fields[3]), int(fields[4]))
+                )
             elif kind == "link":
                 if record is None:
                     raise RouteDumpError("link outside a route record")
@@ -78,29 +109,23 @@ def load_routes(workspace: RoutingWorkspace, stream: TextIO) -> List[int]:
                 b = GridPoint(int(fields[4]), int(fields[5]))
                 pieces = []
                 for item in fields[6:]:
-                    c, lo, hi = (int(v) for v in item.split(":"))
+                    c, lo, hi = map(int, item.split(":"))
                     pieces.append((c, lo, hi))
                 record.links.append(
                     RouteLink(layer_index=layer_index, a=a, b=b, pieces=pieces)
-                )
-            elif kind == "seg":
-                if record is None:
-                    raise RouteDumpError("seg outside a route record")
-                record.segments.append(
-                    (int(fields[1]), int(fields[2]), int(fields[3]), int(fields[4]))
                 )
             elif kind == "via":
                 if record is None:
                     raise RouteDumpError("via outside a route record")
                 record.vias.append(ViaPoint(int(fields[1]), int(fields[2])))
+            elif kind == "route":
+                record = RouteRecord(conn_id=int(fields[1]))
             elif kind == "end":
                 if record is None:
                     raise RouteDumpError("end outside a route record")
-                if not workspace.restore_record(record):
-                    raise RouteDumpError(
-                        f"route {record.conn_id} no longer fits this board"
-                    )
-                restored.append(record.conn_id)
+                _check_record(workspace, record, seen)
+                seen.add(record.conn_id)
+                records.append(record)
                 record = None  # type: ignore[assignment]
             else:
                 raise RouteDumpError(f"unknown record {kind!r}")
@@ -108,4 +133,61 @@ def load_routes(workspace: RoutingWorkspace, stream: TextIO) -> List[int]:
             raise RouteDumpError(f"line {line_no}: {exc}") from exc
     if record is not None:
         raise RouteDumpError("unterminated route record")
-    return restored
+    return records
+
+
+def _check_record(
+    workspace: RoutingWorkspace, record: RouteRecord, seen: Set[int]
+) -> None:
+    """Refuse a record that would install wrongly or not come out again.
+
+    Each index must be in range: a negative layer or channel would
+    otherwise alias another one through Python's negative indexing.
+    Each segment must lie inside its channel with ``lo <= hi``, and the
+    record's segments must be pairwise disjoint: overlapping ones
+    install as fewer, clipped pieces than the record lists, so removing
+    the route later would fail.  Vias must be on the board and distinct,
+    and the connection must not be routed already.  Connection ids are
+    non-negative: negative owners are pins and fill.
+    """
+    conn_id = record.conn_id
+    where = f"route {conn_id}"
+    if conn_id < 0:
+        raise RouteDumpError(f"{where}: negative connection id")
+    if conn_id in seen:
+        raise RouteDumpError(f"{where}: connection routed twice")
+    layers = workspace.layers
+    n_layers = len(layers)
+    for link in record.links:
+        if not 0 <= link.layer_index < n_layers:
+            raise RouteDumpError(
+                f"{where}: link on layer {link.layer_index} of {n_layers}"
+            )
+    for layer_index, channel_index, lo, hi in record.segments:
+        if not 0 <= layer_index < n_layers:
+            raise RouteDumpError(
+                f"{where}: seg on layer {layer_index} of {n_layers}"
+            )
+        layer = layers[layer_index]
+        if not 0 <= channel_index < layer.n_channels:
+            raise RouteDumpError(
+                f"{where}: seg in channel {channel_index} of "
+                f"{layer.n_channels} on layer {layer_index}"
+            )
+        if not 0 <= lo <= hi < layer.channel_length:
+            raise RouteDumpError(
+                f"{where}: seg [{lo},{hi}] is not inside a channel of "
+                f"length {layer.channel_length}"
+            )
+    ordered = sorted(record.segments)
+    for prev, seg in zip(ordered, ordered[1:]):
+        if seg[:2] == prev[:2] and seg[2] <= prev[3]:
+            raise RouteDumpError(
+                f"{where}: segs {prev} and {seg} overlap"
+            )
+    grid = workspace.grid
+    for via in record.vias:
+        if not grid.contains_via(via):
+            raise RouteDumpError(f"{where}: via {tuple(via)} is off the board")
+    if len(set(record.vias)) != len(record.vias):
+        raise RouteDumpError(f"{where}: a via is listed twice")

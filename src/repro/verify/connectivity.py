@@ -4,7 +4,7 @@ Two levels:
 
 * **connection level** — each routed connection's installed links must
   form a single rectilinear path from pin a to pin b, with a drilled via
-  at every layer change (flood fill over the link's own cells);
+  at every layer change (a union-find over each link's channel pieces);
 * **net level** — a net's pins must form a connected graph through its
   routed connections, and for ECL nets a *chain* with the output at one
   end and the terminating resistor at the other (Section 3); no pin may
@@ -19,9 +19,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.board.board import Board
 from repro.board.nets import Connection
 from repro.board.parts import PinRole
+from repro.channels.layer_data import ChannelPiece
 from repro.channels.workspace import RouteRecord, RoutingWorkspace
 from repro.grid.coords import GridPoint
-from repro.grid.geometry import Orientation
 
 
 @dataclass
@@ -58,19 +58,6 @@ class ConnectivityReport:
             and not self.shorted_pins
             and all(n.connected for n in self.nets)
         )
-
-
-def _link_cells(
-    orientation: Orientation, pieces
-) -> Set[Tuple[int, int]]:
-    cells = set()
-    for channel_index, lo, hi in pieces:
-        for coord in range(lo, hi + 1):
-            if orientation is Orientation.HORIZONTAL:
-                cells.add((coord, channel_index))
-            else:
-                cells.add((channel_index, coord))
-    return cells
 
 
 def _occupancy_is_path(
@@ -132,10 +119,71 @@ def _occupancy_is_path(
     return False
 
 
+def _pieces_join(
+    pieces: Sequence[ChannelPiece], a: Tuple[int, int], b: Tuple[int, int]
+) -> bool:
+    """True if cells ``a`` and ``b`` (``(channel, coord)``) are joined by
+    the pieces' cells in the 4-connected cell graph.
+
+    Each piece is a run of cells along one channel, so it is connected
+    on its own, and two pieces touch exactly when they lie in one
+    channel and overlap or abut, or in adjacent channels and overlap
+    (4-neighbours across channels share their coordinate).  The cells
+    of ``a`` and ``b`` are therefore joined exactly when a piece holding
+    ``a`` and a piece holding ``b`` share a component of that piece
+    graph: a union-find over the pieces instead of a flood fill over
+    their cells.  Inverted pieces (``lo > hi``) cover no cells.
+    """
+    live = sorted(piece for piece in pieces if piece[1] <= piece[2])
+    parent = list(range(len(live)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    by_channel: Dict[int, List[int]] = {}
+    for i, (channel_index, _, _) in enumerate(live):
+        by_channel.setdefault(channel_index, []).append(i)
+    for channel_index, members in by_channel.items():
+        # Sorted by lo: a piece touches the run before it exactly when
+        # it starts at most one past the run's furthest hi.
+        run_root, run_hi = members[0], live[members[0]][2]
+        for i in members[1:]:
+            _, lo, hi = live[i]
+            if lo <= run_hi + 1:
+                parent[find(i)] = find(run_root)
+                run_hi = max(run_hi, hi)
+            else:
+                run_root, run_hi = i, hi
+        for j in by_channel.get(channel_index + 1, ()):
+            _, lo2, hi2 = live[j]
+            for i in members:
+                _, lo1, hi1 = live[i]
+                if lo2 <= hi1 and lo1 <= hi2:
+                    parent[find(j)] = find(i)
+
+    def root_at(cell: Tuple[int, int]) -> Optional[int]:
+        channel_index, coord = cell
+        for i in by_channel.get(channel_index, ()):
+            if live[i][1] <= coord <= live[i][2]:
+                return find(i)
+        return None
+
+    root_a = root_at(a)
+    return root_a is not None and root_a == root_at(b)
+
+
 def connection_is_path(
     workspace: RoutingWorkspace, conn: Connection, record: RouteRecord
 ) -> bool:
-    """True if the record's links really connect pin a to pin b."""
+    """True if the record's links really connect pin a to pin b.
+
+    Each link's pieces must join its two ends on its layer
+    (:func:`_pieces_join`), consecutive links must meet, and a drilled
+    via must stand wherever the path changes layer.
+    """
     grid = workspace.grid
     if not record.links:
         # Records restored from formats that carry no path metadata
@@ -150,20 +198,9 @@ def connection_is_path(
         return False
     for i, link in enumerate(record.links):
         layer = workspace.layers[link.layer_index]
-        cells = _link_cells(layer.orientation, link.pieces)
-        start = (link.a.gx, link.a.gy)
-        goal = (link.b.gx, link.b.gy)
-        if start not in cells or goal not in cells:
-            return False
-        frontier = [start]
-        seen = {start}
-        while frontier:
-            x, y = frontier.pop()
-            for nxt in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                if nxt in cells and nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        if goal not in seen:
+        if not _pieces_join(
+            link.pieces, layer.point_cc(link.a), layer.point_cc(link.b)
+        ):
             return False
         if i:
             prev = record.links[i - 1]
@@ -202,10 +239,10 @@ def check_connectivity(
             workspace, conn, record
         ):
             report.broken_connections.append(conn.conn_id)
+    broken = set(report.broken_connections)
     for net in board.signal_nets:
         status = _check_net(
-            board, workspace, net.net_id, by_net.get(net.net_id, []),
-            set(report.broken_connections),
+            board, workspace, net.net_id, by_net.get(net.net_id, []), broken
         )
         report.nets.append(status)
     return report

@@ -10,12 +10,15 @@ legal-but-undesirable patterns such as traces running over free via sites
 from __future__ import annotations
 
 import enum
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.board.board import Board
+from repro.channels.segment import Segment
 from repro.channels.workspace import RoutingWorkspace
-from repro.grid.coords import ViaPoint
+from repro.grid.geometry import Orientation
 
 
 class Severity(enum.Enum):
@@ -71,51 +74,78 @@ def run_drc(board: Board, workspace: RoutingWorkspace) -> DrcReport:
 def _check_segments(workspace: RoutingWorkspace, report: DrcReport) -> None:
     """Segments must be within bounds, sorted, and pairwise disjoint."""
     for layer_index, layer in enumerate(workspace.layers):
+        length = layer.channel_length
         for channel_index, channel in enumerate(layer.channels):
+            where = f"L{layer_index} c{channel_index}"
             previous_hi = None
-            for seg in channel:
-                if seg.hi < seg.lo:
+            for lo, hi, owner in channel.spans():
+                if hi < lo:
                     report.add(
                         Severity.ERROR,
                         "segment-inverted",
-                        f"L{layer_index} c{channel_index}: {seg}",
+                        f"{where}: {Segment(lo, hi, owner)}",
                     )
-                if seg.lo < 0 or seg.hi >= layer.channel_length:
+                if lo < 0 or hi >= length:
                     report.add(
                         Severity.ERROR,
                         "segment-out-of-bounds",
-                        f"L{layer_index} c{channel_index}: {seg}",
+                        f"{where}: {Segment(lo, hi, owner)}",
                     )
-                if previous_hi is not None and seg.lo <= previous_hi:
+                if previous_hi is not None and lo <= previous_hi:
                     report.add(
                         Severity.ERROR,
                         "segment-overlap",
-                        f"L{layer_index} c{channel_index}: {seg} overlaps "
+                        f"{where}: {Segment(lo, hi, owner)} overlaps "
                         f"previous segment ending at {previous_hi}",
                     )
-                previous_hi = seg.hi
+                previous_hi = hi
 
 
 def _check_via_map(workspace: RoutingWorkspace, report: DrcReport) -> None:
-    """The via map's counts must equal a fresh recount of the layers."""
+    """The via map's counts must equal a fresh recount of the layers.
+
+    Every segment on a via channel covers the on-board sites between its
+    ends once each; their flat indices (``vx * via_ny + vy``, the map's
+    own layout) are tallied into an array shaped like the map's counts.
+    One ``==`` then compares the two arrays; only when they differ are
+    the sites walked, row by row, for the per-site messages.
+    """
     grid = workspace.grid
-    recount: Dict[Tuple[int, int], int] = {}
+    g, nx, ny = grid.grid_per_via, grid.via_nx, grid.via_ny
+    covered: List[int] = []
     for layer in workspace.layers:
-        for channel_index in range(0, layer.n_channels, grid.grid_per_via):
-            for seg in layer.channel(channel_index):
-                for via in layer.via_sites_in(channel_index, seg.lo, seg.hi):
-                    key = (via.vx, via.vy)
-                    recount[key] = recount.get(key, 0) + 1
-    for vy in range(grid.via_ny):
-        for vx in range(grid.via_nx):
-            expected = recount.get((vx, vy), 0)
-            actual = workspace.via_map.count(ViaPoint(vx, vy))
-            if actual != expected:
+        horizontal = layer.orientation is Orientation.HORIZONTAL
+        # Sites along a horizontal channel run over vx: ny apart.
+        n_along, step = (nx, ny) if horizontal else (ny, 1)
+        for channel_index in range(0, layer.n_channels, g):
+            v_channel = channel_index // g
+            base = v_channel if horizontal else v_channel * ny
+            for lo, hi, _ in layer.channels[channel_index].spans():
+                v_lo = -(-lo // g)  # first site at or after lo
+                v_hi = hi // g  # last site at or before hi
+                if v_lo == v_hi and 0 <= v_lo < n_along:
+                    covered.append(base + v_lo * step)  # pins, vias
+                    continue
+                v_lo = max(v_lo, 0)
+                v_hi = min(v_hi, n_along - 1)
+                covered.extend(
+                    range(base + v_lo * step, base + v_hi * step + 1, step)
+                )
+    recount = array("i", [0]) * (nx * ny)
+    for flat, count in Counter(covered).items():
+        recount[flat] = count
+    counts = workspace.via_map.cover_counts()
+    if counts == recount:
+        return
+    for vy in range(ny):
+        for vx in range(nx):
+            flat = vx * ny + vy
+            if counts[flat] != recount[flat]:
                 report.add(
                     Severity.ERROR,
                     "via-map-count",
-                    f"via ({vx},{vy}): map says {actual}, layers say "
-                    f"{expected}",
+                    f"via ({vx},{vy}): map says {counts[flat]}, layers say "
+                    f"{recount[flat]}",
                 )
 
 
@@ -125,22 +155,34 @@ def _check_drilled_vias(
     """A drill hole contacts all layers: each must be covered on every
     layer by a segment whose owner matches the drill owner."""
     grid = workspace.grid
+    g = grid.grid_per_via
+    # (channels, orientation) per layer: a site at grid (gx, gy) lies
+    # in row gy of a horizontal layer and column gx of a vertical one.
+    layers = [
+        (layer.channels, layer.orientation is Orientation.HORIZONTAL)
+        for layer in workspace.layers
+    ]
     for via, owner in workspace.via_map.drilled_sites().items():
         if not grid.contains_via(via):
             report.add(
                 Severity.ERROR, "via-off-board", f"{via} owner {owner}"
             )
             continue
-        point = grid.via_to_grid(via)
-        for layer_index, layer in enumerate(workspace.layers):
-            cover = layer.owner_at(point)
+        gx, gy = via.vx * g, via.vy * g
+        for layer_index, (channels, horizontal) in enumerate(layers):
+            if horizontal:
+                cover = channels[gy].owner_at(gx)
+            else:
+                cover = channels[gx].owner_at(gy)
+            if cover == owner:
+                continue
             if cover is None:
                 report.add(
                     Severity.ERROR,
                     "via-uncovered",
                     f"{via}: no segment on layer {layer_index}",
                 )
-            elif cover != owner:
+            else:
                 report.add(
                     Severity.ERROR,
                     "via-cover-owner",
@@ -178,14 +220,20 @@ def _check_trace_over_via_sites(
     cannot take a via later.
     """
     grid = workspace.grid
+    g = grid.grid_per_via
+    # ViaPoint is a named tuple: plain (vx, vy) tuples find its keys.
+    drilled = workspace.via_map.drilled_sites()
     offenders = 0
     for layer in workspace.layers:
-        for channel_index in range(0, layer.n_channels, grid.grid_per_via):
-            for seg in layer.channel(channel_index):
-                if seg.owner < 0:
+        horizontal = layer.orientation is Orientation.HORIZONTAL
+        for channel_index in range(0, layer.n_channels, g):
+            v_channel = channel_index // g
+            for lo, hi, owner in layer.channel(channel_index).spans():
+                if owner < 0:
                     continue  # pins and fill
-                for via in layer.via_sites_in(channel_index, seg.lo, seg.hi):
-                    if workspace.via_map.drilled_owner(via) != seg.owner:
+                for v in range((lo + g - 1) // g, hi // g + 1):
+                    site = (v, v_channel) if horizontal else (v_channel, v)
+                    if drilled.get(site) != owner:
                         offenders += 1
     if offenders:
         report.add(

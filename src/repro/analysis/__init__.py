@@ -1,34 +1,21 @@
 """Metrics, congestion analysis and reporting (Table 1 quantities plus
 the Section 12 "statistical measures of routing patterns")."""
 
-from repro.analysis.congestion import (
-    Hotspot,
-    cell_usage_grid,
-    channel_occupancy,
-    hotspots,
-    region_utilization,
-    render_congestion,
-    wire_length_stats,
-)
-from repro.analysis.metrics import (
-    channel_demand,
-    channel_supply,
-    percent_chan,
-    table1_row,
-)
-from repro.analysis.report import format_table
+from repro import lazy_exports
 
-__all__ = [
-    "Hotspot",
-    "cell_usage_grid",
-    "channel_demand",
-    "channel_occupancy",
-    "channel_supply",
-    "format_table",
-    "hotspots",
-    "percent_chan",
-    "region_utilization",
-    "render_congestion",
-    "table1_row",
-    "wire_length_stats",
-]
+_EXPORTS = {
+    "Hotspot": "repro.analysis.congestion",
+    "cell_usage_grid": "repro.analysis.congestion",
+    "channel_demand": "repro.analysis.metrics",
+    "channel_occupancy": "repro.analysis.congestion",
+    "channel_supply": "repro.analysis.metrics",
+    "format_table": "repro.analysis.report",
+    "hotspots": "repro.analysis.congestion",
+    "percent_chan": "repro.analysis.metrics",
+    "region_utilization": "repro.analysis.congestion",
+    "render_congestion": "repro.analysis.congestion",
+    "table1_row": "repro.analysis.metrics",
+    "wire_length_stats": "repro.analysis.congestion",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -7,6 +7,11 @@ searches, since many individual grid points must be scanned to advance a
 small distance across the board surface."
 """
 
-from repro.baseline.lee_grid import GridLeeRouter, GridLeeStats
+from repro import lazy_exports
 
-__all__ = ["GridLeeRouter", "GridLeeStats"]
+_EXPORTS = {
+    "GridLeeRouter": "repro.baseline.lee_grid",
+    "GridLeeStats": "repro.baseline.lee_grid",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -5,26 +5,24 @@ through-hole pins on the via grid, nets divide into power nets (routed as
 solid planes) and signal nets (routed as traces and vias by the router).
 """
 
-from repro.board.board import Board
-from repro.board.layers import Layer, LayerKind, LayerStack
-from repro.board.nets import Connection, Net, NetKind
-from repro.board.parts import Package, Part, Pin, PinRole, dip_package, sip_package
-from repro.board.technology import LogicFamily, TechRules
+from repro import lazy_exports
 
-__all__ = [
-    "Board",
-    "Connection",
-    "Layer",
-    "LayerKind",
-    "LayerStack",
-    "LogicFamily",
-    "Net",
-    "NetKind",
-    "Package",
-    "Part",
-    "Pin",
-    "PinRole",
-    "TechRules",
-    "dip_package",
-    "sip_package",
-]
+_EXPORTS = {
+    "Board": "repro.board.board",
+    "Connection": "repro.board.nets",
+    "Layer": "repro.board.layers",
+    "LayerKind": "repro.board.layers",
+    "LayerStack": "repro.board.layers",
+    "LogicFamily": "repro.board.technology",
+    "Net": "repro.board.nets",
+    "NetKind": "repro.board.nets",
+    "Package": "repro.board.parts",
+    "Part": "repro.board.parts",
+    "Pin": "repro.board.parts",
+    "PinRole": "repro.board.parts",
+    "TechRules": "repro.board.technology",
+    "dip_package": "repro.board.parts",
+    "sip_package": "repro.board.parts",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -7,23 +7,20 @@ counts because via availability inquiries are two to four orders of
 magnitude more frequent than updates.
 """
 
-from repro.channels.alternatives import MovingHeadChannel, TreeChannel
-from repro.channels.channel import Channel, ChannelConflictError
-from repro.channels.layer_data import LayerData
-from repro.channels.segment import FILL_OWNER, Segment, is_rippable_owner
-from repro.channels.via_map import ViaMap
-from repro.channels.workspace import RouteRecord, RoutingWorkspace
+from repro import lazy_exports
 
-__all__ = [
-    "Channel",
-    "ChannelConflictError",
-    "FILL_OWNER",
-    "LayerData",
-    "MovingHeadChannel",
-    "RouteRecord",
-    "RoutingWorkspace",
-    "Segment",
-    "TreeChannel",
-    "ViaMap",
-    "is_rippable_owner",
-]
+_EXPORTS = {
+    "Channel": "repro.channels.channel",
+    "ChannelConflictError": "repro.channels.channel",
+    "FILL_OWNER": "repro.channels.segment",
+    "LayerData": "repro.channels.layer_data",
+    "MovingHeadChannel": "repro.channels.alternatives",
+    "RouteRecord": "repro.channels.workspace",
+    "RoutingWorkspace": "repro.channels.workspace",
+    "Segment": "repro.channels.segment",
+    "TreeChannel": "repro.channels.alternatives",
+    "ViaMap": "repro.channels.via_map",
+    "is_rippable_owner": "repro.channels.segment",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,35 +14,23 @@ Subcommands mirror the original toolchain:
 * ``grr serve``    — long-lived routing service over HTTP with warm
   ECO sessions, admission control and SSE event streaming.
 
-Every command reads/writes the text formats of :mod:`repro.io`.
+Every command reads/writes the text formats of :mod:`repro.io`.  The
+module itself imports only the standard library: each command imports
+the part of the router it runs, so ``grr --help`` and ``grr serve``
+start without the routing stack.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import List, Optional
 
-from repro.analysis import format_table, table1_row
-from repro.channels.workspace import RoutingWorkspace
-from repro.core.router import GreedyRouter, RouterConfig, make_router
-from repro.io import (
-    FORMAT_KICAD,
-    FormatError,
-    InputError,
-    detect_format,
-    load_board,
-    load_routes,
-    save_board,
-    save_connections,
-    save_routes,
-)
-from repro.stringer import Stringer
-from repro.workloads import TITAN_CONFIGS, make_titan_board
-
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.io import save_board
+    from repro.workloads import make_titan_board
+
     board = make_titan_board(args.config, scale=args.scale, seed=args.seed)
     # Registry writer: a .kicad_pcb destination gets a KiCad document.
     save_board(board, args.board)
@@ -55,6 +43,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_string(args: argparse.Namespace) -> int:
+    from repro.io import load_board, save_connections
+
     loaded = load_board(args.board, format=args.format)
     save_connections(loaded.connections, args.connections)
     print(
@@ -64,13 +54,17 @@ def _cmd_string(args: argparse.Namespace) -> int:
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
+    import dataclasses
+
+    from repro.analysis import format_table, table1_row
+    from repro.core.budget import STOP_DEADLINE
+    from repro.core.router import RouterConfig, make_router
+    from repro.io import save_routes
     from repro.obs import JsonlSink
 
     loaded, routes_out = _load_route_inputs(args)
     board = loaded.board
     connections = list(loaded.pending)
-    from repro.core.budget import STOP_DEADLINE, RouteBudget
-
     config = RouterConfig(radius=args.radius, cost=args.cost)
     if args.timeout is not None or args.per_connection_timeout is not None:
         config = dataclasses.replace(
@@ -141,6 +135,8 @@ def _load_route_inputs(args: argparse.Namespace):
     ``BOARD.routed.kicad_pcb``.  Returns ``(loaded, routes_out_path)``.
     """
     import os
+
+    from repro.io import FORMAT_KICAD, detect_format, load_board
 
     fmt = detect_format(args.board, args.format)
     if fmt == FORMAT_KICAD:
@@ -246,6 +242,9 @@ def _load_routed_state(args: argparse.Namespace):
     ``.kicad_pcb`` carries all three in one document, so the
     connections/routes positionals are omitted.
     """
+    from repro.channels.workspace import RoutingWorkspace
+    from repro.io import FORMAT_KICAD, detect_format, load_board, load_routes
+
     if detect_format(args.board) == FORMAT_KICAD:
         if args.connections is not None or args.routes is not None:
             raise SystemExit(
@@ -299,9 +298,13 @@ def _parse_pin_group(spec: str) -> List[int]:
 
 
 def _cmd_eco(args: argparse.Namespace) -> int:
+    import dataclasses
+
     from repro.core.budget import STOP_DEADLINE, RouteBudget
     from repro.core.result import Strategy
+    from repro.core.router import RouterConfig
     from repro.eco import EcoError, EcoSession
+    from repro.io import FormatError, save_board, save_connections, save_routes
     from repro.obs import JsonlSink
 
     loaded, workspace, restored, routes_out = _load_eco_inputs(args)
@@ -423,6 +426,9 @@ def _load_eco_inputs(args: argparse.Namespace):
     """
     import os
 
+    from repro.channels.workspace import RoutingWorkspace
+    from repro.io import FORMAT_KICAD, detect_format, load_board, load_routes
+
     if detect_format(args.board) == FORMAT_KICAD:
         if args.routes_in is not None or args.routes_out is not None:
             raise SystemExit(
@@ -461,7 +467,14 @@ def _print_profile_counters(counters, timings) -> None:
 
 
 def _cmd_kicad(args: argparse.Namespace) -> int:
-    from repro.io import kicad
+    from repro.io import (
+        kicad,
+        load_board,
+        load_routes,
+        save_board,
+        save_connections,
+        save_route_dump,
+    )
 
     if args.action == "inspect":
         imp = kicad.load_file(args.board, pitch_mm=args.pitch_mm)
@@ -483,8 +496,6 @@ def _cmd_kicad(args: argparse.Namespace) -> int:
             # Only restored route records survive the native dump; the
             # dispersion traces are re-derived on any later import.
             with open(args.out_routes, "w") as f:
-                from repro.io import save_route_dump
-
                 save_route_dump(loaded.workspace, f)
             print(
                 f"wrote {args.out_routes} "
@@ -524,6 +535,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.analysis import format_table, table1_row
+    from repro.core.router import GreedyRouter
+    from repro.stringer import Stringer
+    from repro.workloads import TITAN_CONFIGS, make_titan_board
+
     rows = []
     for name in TITAN_CONFIGS:
         board = make_titan_board(name, scale=args.scale, seed=args.seed)
@@ -532,6 +548,17 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         rows.append(table1_row(board, connections, result))
     print(format_table(rows, title="Table 1 reproduction"))
     return 0
+
+
+class _TitanConfigNames:
+    """``grr generate --config`` choices: the names of
+    :data:`repro.workloads.titan.TITAN_CONFIGS`, sorted, imported only
+    when argparse iterates them."""
+
+    def __iter__(self):
+        from repro.workloads.titan import TITAN_CONFIGS
+
+        return iter(sorted(TITAN_CONFIGS))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -544,9 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="synthesise a Table-1-style board")
     p.add_argument("board", help="output board file")
-    p.add_argument(
-        "--config", default="tna", choices=sorted(TITAN_CONFIGS)
-    )
+    config = p.add_argument("--config", default="tna")
+    # Set after add_argument, which reads the choices once to check the
+    # metavar; argparse reads them again only to check a value or print
+    # this command's help.
+    config.choices = _TitanConfigNames()
     p.add_argument("--scale", type=float, default=0.30)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_generate)
@@ -829,6 +858,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    from repro.io import InputError
+
     try:
         return args.func(args)
     except InputError as exc:

@@ -9,38 +9,28 @@ Strategy stack, in order of increasing desperation per connection:
 4. rip-up of obstructing connections and putback.
 """
 
-from repro.core.budget import BudgetTracker, RouteBudget
-from repro.core.cost import (
-    COST_FUNCTIONS,
-    distance_cost,
-    distance_hops_cost,
-    unit_cost,
-)
-from repro.core.lee import LeeSearchResult, lee_route
-from repro.core.optimal import try_one_via, try_zero_via
-from repro.core.result import RoutingResult, Strategy
-from repro.core.router import GreedyRouter, RouterConfig
-from repro.core.single_layer import obstructions, reachable_vias, trace
-from repro.core.sorting import minimal_path_count, sort_connections
+from repro import lazy_exports
 
-__all__ = [
-    "BudgetTracker",
-    "COST_FUNCTIONS",
-    "GreedyRouter",
-    "LeeSearchResult",
-    "RouteBudget",
-    "RouterConfig",
-    "RoutingResult",
-    "Strategy",
-    "distance_cost",
-    "distance_hops_cost",
-    "lee_route",
-    "minimal_path_count",
-    "obstructions",
-    "reachable_vias",
-    "sort_connections",
-    "trace",
-    "try_one_via",
-    "try_zero_via",
-    "unit_cost",
-]
+_EXPORTS = {
+    "BudgetTracker": "repro.core.budget",
+    "COST_FUNCTIONS": "repro.core.cost",
+    "GreedyRouter": "repro.core.router",
+    "LeeSearchResult": "repro.core.lee",
+    "RouteBudget": "repro.core.budget",
+    "RouterConfig": "repro.core.router",
+    "RoutingResult": "repro.core.result",
+    "Strategy": "repro.core.result",
+    "distance_cost": "repro.core.cost",
+    "distance_hops_cost": "repro.core.cost",
+    "lee_route": "repro.core.lee",
+    "minimal_path_count": "repro.core.sorting",
+    "obstructions": "repro.core.single_layer",
+    "reachable_vias": "repro.core.single_layer",
+    "sort_connections": "repro.core.sorting",
+    "trace": "repro.core.single_layer",
+    "try_one_via": "repro.core.optimal",
+    "try_zero_via": "repro.core.optimal",
+    "unit_cost": "repro.core.cost",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

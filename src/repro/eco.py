@@ -39,6 +39,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.api import RouteResponse
 from repro.board.board import Board
 from repro.board.nets import Connection, NetKind
 from repro.board.technology import LogicFamily
@@ -393,8 +394,6 @@ class EcoSession:
         only.  With nothing pending the router is never built — the
         no-edit fast path costs one list scan.
         """
-        from repro.api import RouteResponse
-
         self._check_open()
         started = time.perf_counter()
         ws = self.workspace

@@ -2,60 +2,31 @@
 length tuning, ECL/TTL tesselation separation, and power-plane generation.
 """
 
-from repro.extensions.dispersion import (
-    DispersedPad,
-    DispersionError,
-    PadSpec,
-    disperse_pads,
-)
-from repro.extensions.length_tuning import (
-    DelayModel,
-    TuningResult,
-    route_delay_ns,
-    tune_connection,
-    tune_with_cost_mod,
-)
-from repro.extensions.postprocess import (
-    TracePolyline,
-    chamfer,
-    link_polyline,
-    postprocess_board,
-    postprocess_connection,
-)
-from repro.extensions.power_plane import (
-    PlaneFeature,
-    PowerPlanePattern,
-    generate_power_plane,
-)
-from repro.extensions.tesselation import (
-    MixedRoutingResult,
-    Tesselation,
-    Tile,
-    route_mixed,
-    split_tesselation,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DelayModel",
-    "DispersedPad",
-    "DispersionError",
-    "PadSpec",
-    "TracePolyline",
-    "chamfer",
-    "disperse_pads",
-    "link_polyline",
-    "postprocess_board",
-    "postprocess_connection",
-    "MixedRoutingResult",
-    "PlaneFeature",
-    "PowerPlanePattern",
-    "Tesselation",
-    "Tile",
-    "TuningResult",
-    "generate_power_plane",
-    "route_delay_ns",
-    "route_mixed",
-    "split_tesselation",
-    "tune_connection",
-    "tune_with_cost_mod",
-]
+_EXPORTS = {
+    "DelayModel": "repro.extensions.length_tuning",
+    "DispersedPad": "repro.extensions.dispersion",
+    "DispersionError": "repro.extensions.dispersion",
+    "PadSpec": "repro.extensions.dispersion",
+    "TracePolyline": "repro.extensions.postprocess",
+    "chamfer": "repro.extensions.postprocess",
+    "disperse_pads": "repro.extensions.dispersion",
+    "link_polyline": "repro.extensions.postprocess",
+    "postprocess_board": "repro.extensions.postprocess",
+    "postprocess_connection": "repro.extensions.postprocess",
+    "MixedRoutingResult": "repro.extensions.tesselation",
+    "PlaneFeature": "repro.extensions.power_plane",
+    "PowerPlanePattern": "repro.extensions.power_plane",
+    "Tesselation": "repro.extensions.tesselation",
+    "Tile": "repro.extensions.tesselation",
+    "TuningResult": "repro.extensions.length_tuning",
+    "generate_power_plane": "repro.extensions.power_plane",
+    "route_delay_ns": "repro.extensions.length_tuning",
+    "route_mixed": "repro.extensions.tesselation",
+    "split_tesselation": "repro.extensions.tesselation",
+    "tune_connection": "repro.extensions.length_tuning",
+    "tune_with_cost_mod": "repro.extensions.length_tuning",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -7,25 +7,18 @@ arrangements of through-hole parts land on via sites and two minimum-pitch
 traces fit between adjacent via sites.
 """
 
-from repro.grid.coords import (
-    GridPoint,
-    ViaPoint,
-    grid_to_via,
-    is_via_site,
-    manhattan,
-    via_to_grid,
-)
-from repro.grid.geometry import Box, Orientation
-from repro.grid.routing_grid import RoutingGrid
+from repro import lazy_exports
 
-__all__ = [
-    "Box",
-    "GridPoint",
-    "Orientation",
-    "RoutingGrid",
-    "ViaPoint",
-    "grid_to_via",
-    "is_via_site",
-    "manhattan",
-    "via_to_grid",
-]
+_EXPORTS = {
+    "Box": "repro.grid.geometry",
+    "GridPoint": "repro.grid.coords",
+    "Orientation": "repro.grid.geometry",
+    "RoutingGrid": "repro.grid.routing_grid",
+    "ViaPoint": "repro.grid.coords",
+    "grid_to_via": "repro.grid.coords",
+    "is_via_site": "repro.grid.coords",
+    "manhattan": "repro.grid.coords",
+    "via_to_grid": "repro.grid.coords",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

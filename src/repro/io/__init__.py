@@ -11,47 +11,28 @@ rather than picking a parser by hand; the registry resolves formats by
 file extension and keeps every entry point on one loading path.
 """
 
-from repro.io.dump import load_routes, save_routes as save_route_dump
-from repro.io.netlist import (
-    read_board,
-    read_connections,
-    write_board,
-    write_connections,
-)
-from repro.io.registry import (
-    FORMAT_KICAD,
-    FORMAT_NATIVE,
-    FormatError,
-    InputError,
-    LoadedBoard,
-    UnknownReferenceError,
-    check_connections,
-    detect_format,
-    load_board,
-    load_board_text,
-    save_board,
-    save_connections,
-    save_routes,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "FORMAT_KICAD",
-    "FORMAT_NATIVE",
-    "FormatError",
-    "InputError",
-    "LoadedBoard",
-    "UnknownReferenceError",
-    "check_connections",
-    "detect_format",
-    "load_board",
-    "load_board_text",
-    "load_routes",
-    "read_board",
-    "read_connections",
-    "save_board",
-    "save_connections",
-    "save_route_dump",
-    "save_routes",
-    "write_board",
-    "write_connections",
-]
+_EXPORTS = {
+    "FORMAT_KICAD": "repro.io.registry",
+    "FORMAT_NATIVE": "repro.io.registry",
+    "FormatError": "repro.io.registry",
+    "InputError": "repro.io.registry",
+    "LoadedBoard": "repro.io.registry",
+    "UnknownReferenceError": "repro.io.registry",
+    "check_connections": "repro.io.registry",
+    "detect_format": "repro.io.registry",
+    "load_board": "repro.io.registry",
+    "load_board_text": "repro.io.registry",
+    "load_routes": "repro.io.dump",
+    "read_board": "repro.io.netlist",
+    "read_connections": "repro.io.netlist",
+    "save_board": "repro.io.registry",
+    "save_connections": "repro.io.registry",
+    "save_route_dump": "repro.io.dump:save_routes",
+    "save_routes": "repro.io.registry",
+    "write_board": "repro.io.netlist",
+    "write_connections": "repro.io.netlist",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

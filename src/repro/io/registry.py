@@ -20,10 +20,12 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple, Union
 
-from repro.board.board import Board
-from repro.board.nets import Connection
-
+# Board and connection types are annotations only, so the module (and
+# with it the InputError hierarchy the CLI and the service catch) loads
+# with the standard library alone; the readers import what they run.
 if TYPE_CHECKING:
+    from repro.board.board import Board
+    from repro.board.nets import Connection
     from repro.channels.workspace import RoutingWorkspace
 
 FORMAT_NATIVE = "native"

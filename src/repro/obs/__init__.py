@@ -16,76 +16,41 @@ analysis surface for the reproduction:
 See ``docs/OBSERVABILITY.md`` for the event schema and invariants.
 """
 
-from repro.obs.audit import (
-    AuditReport,
-    RestoreBlockedError,
-    Violation,
-    WorkspaceAuditError,
-    WorkspaceAuditor,
-)
-from repro.obs.events import (
-    AuditRun,
-    BudgetCheckpoint,
-    BudgetExhausted,
-    CacheStats,
-    ConnectionFailed,
-    ConnectionRouted,
-    EcoBegin,
-    EcoInvalidate,
-    EcoReroute,
-    ImproveAttempt,
-    LeeExhausted,
-    PassEnd,
-    PassStart,
-    PutbackResult,
-    RipUpVictims,
-    RouteEvent,
-    SearchCapHit,
-    ServeAccept,
-    ServeAdmit,
-    ServeEvict,
-    ServeReject,
-    StrategyAttempt,
-)
-from repro.obs.sinks import (
-    NULL_SINK,
-    EventSink,
-    JsonlSink,
-    NullSink,
-    RingBufferSink,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "AuditReport",
-    "AuditRun",
-    "BudgetCheckpoint",
-    "BudgetExhausted",
-    "CacheStats",
-    "ConnectionFailed",
-    "ConnectionRouted",
-    "EcoBegin",
-    "EcoInvalidate",
-    "EcoReroute",
-    "EventSink",
-    "ImproveAttempt",
-    "JsonlSink",
-    "LeeExhausted",
-    "NULL_SINK",
-    "NullSink",
-    "PassEnd",
-    "PassStart",
-    "PutbackResult",
-    "RestoreBlockedError",
-    "RingBufferSink",
-    "RipUpVictims",
-    "RouteEvent",
-    "SearchCapHit",
-    "ServeAccept",
-    "ServeAdmit",
-    "ServeEvict",
-    "ServeReject",
-    "StrategyAttempt",
-    "Violation",
-    "WorkspaceAuditError",
-    "WorkspaceAuditor",
-]
+_EXPORTS = {
+    "AuditReport": "repro.obs.audit",
+    "AuditRun": "repro.obs.events",
+    "BudgetCheckpoint": "repro.obs.events",
+    "BudgetExhausted": "repro.obs.events",
+    "CacheStats": "repro.obs.events",
+    "ConnectionFailed": "repro.obs.events",
+    "ConnectionRouted": "repro.obs.events",
+    "EcoBegin": "repro.obs.events",
+    "EcoInvalidate": "repro.obs.events",
+    "EcoReroute": "repro.obs.events",
+    "EventSink": "repro.obs.sinks",
+    "ImproveAttempt": "repro.obs.events",
+    "JsonlSink": "repro.obs.sinks",
+    "LeeExhausted": "repro.obs.events",
+    "NULL_SINK": "repro.obs.sinks",
+    "NullSink": "repro.obs.sinks",
+    "PassEnd": "repro.obs.events",
+    "PassStart": "repro.obs.events",
+    "PutbackResult": "repro.obs.events",
+    "RestoreBlockedError": "repro.obs.audit",
+    "RingBufferSink": "repro.obs.sinks",
+    "RipUpVictims": "repro.obs.events",
+    "RouteEvent": "repro.obs.events",
+    "SearchCapHit": "repro.obs.events",
+    "ServeAccept": "repro.obs.events",
+    "ServeAdmit": "repro.obs.events",
+    "ServeEvict": "repro.obs.events",
+    "ServeReject": "repro.obs.events",
+    "StrategyAttempt": "repro.obs.events",
+    "Violation": "repro.obs.audit",
+    "WorkspaceAuditError": "repro.obs.audit",
+    "WorkspaceAuditor": "repro.obs.audit",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -25,21 +25,18 @@ there are no new dependencies.  ``grr serve`` is the CLI entry point;
 see ``docs/API.md`` ("Serving") for the endpoint reference.
 """
 
-from repro.serve.admission import AdmissionController, AdmissionRejected
-from repro.serve.config import ServeConfig
-from repro.serve.jobs import Job, JobRegistry
-from repro.serve.server import RoutingServer, run_server
-from repro.serve.sessions import SessionManager
-from repro.serve.sink import AsyncSink
+from repro import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionRejected",
-    "AsyncSink",
-    "Job",
-    "JobRegistry",
-    "RoutingServer",
-    "ServeConfig",
-    "SessionManager",
-    "run_server",
-]
+_EXPORTS = {
+    "AdmissionController": "repro.serve.admission",
+    "AdmissionRejected": "repro.serve.admission",
+    "AsyncSink": "repro.serve.sink",
+    "Job": "repro.serve.jobs",
+    "JobRegistry": "repro.serve.jobs",
+    "RoutingServer": "repro.serve.server",
+    "ServeConfig": "repro.serve.config",
+    "SessionManager": "repro.serve.sessions",
+    "run_server": "repro.serve.server",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -84,13 +84,22 @@ class Request:
         return data
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line; 400 when it is longer than the stream's buffer limit
+    (``readline`` reports that as a ``ValueError``)."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise HttpError(400, "request or header line too long") from None
+
+
 async def read_request(
     reader: asyncio.StreamReader, max_body_bytes: int
 ) -> Optional[Request]:
     """Parse one request; None on a cleanly closed connection."""
     try:
-        request_line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+        request_line = await _read_line(reader)
+    except ConnectionError:
         return None
     if not request_line:
         return None
@@ -101,7 +110,7 @@ async def read_request(
     headers: Dict[str, str] = {}
     total = 0
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader)
         total += len(line)
         if total > MAX_HEADER_BYTES:
             raise HttpError(400, "headers too large")
@@ -117,6 +126,8 @@ async def read_request(
         try:
             length = int(headers["content-length"])
         except ValueError:
+            raise HttpError(400, "bad Content-Length")
+        if length < 0:
             raise HttpError(400, "bad Content-Length")
         if length > max_body_bytes:
             raise HttpError(413, f"body exceeds {max_body_bytes} bytes")

@@ -26,6 +26,10 @@ Warm ECO jobs mutate workspaces that live in the server process, so
 they run in a thread pool of the same size.  Each job gets an
 :class:`AsyncSink` feeding SSE subscribers: ECO jobs stream live, a
 ``/route`` job's events arrive in one batch when it ends.
+
+The server starts without the routing stack: a worker imports it for
+its first ``/route`` job, and the server process imports it for the
+first ECO request, which pays that import.
 """
 
 from __future__ import annotations
@@ -36,20 +40,8 @@ import time
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.api import begin_eco, request_from_text, route as api_route
-from repro.board.technology import LogicFamily
-from repro.channels.workspace import RoutingWorkspace
-from repro.core.budget import RouteBudget
 from repro.core.profiling import RouterProfile
-from repro.core.result import Strategy
-from repro.eco import EcoError, EcoSession
-from repro.grid.coords import ViaPoint
-from repro.io import (
-    InputError,
-    UnknownReferenceError,
-    load_routes,
-    save_route_dump,
-)
+from repro.io.registry import InputError, UnknownReferenceError
 from repro.obs.events import ServeAccept, ServeAdmit, ServeEvict, ServeReject
 from repro.obs.sinks import NULL_SINK, EventSink
 from repro.serve.admission import AdmissionController, AdmissionRejected
@@ -70,6 +62,8 @@ from repro.serve.sink import AsyncSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from concurrent.futures import ProcessPoolExecutor
+
+    from repro.core.budget import RouteBudget
 
 
 def _input_status(exc: InputError) -> int:
@@ -130,6 +124,8 @@ def _route_payload(response, workspace, include_routes: bool) -> Dict:
         "counters": dict(response.counters),
     }
     if include_routes:
+        from repro.io import save_route_dump
+
         buffer = io.StringIO()
         save_route_dump(workspace, buffer)
         payload["routes"] = buffer.getvalue()
@@ -151,6 +147,8 @@ def _route_job(
     ``event_capacity``.  An exception goes back to the server pickled,
     which every ``repro`` exception survives.
     """
+    from repro.api import request_from_text, route as api_route
+
     sink = AsyncSink(capacity=event_capacity)
     request = request_from_text(
         board_text,
@@ -186,6 +184,49 @@ def _start_worker() -> "ProcessPoolExecutor":
         initializer=signal.signal,
         initargs=(signal.SIGINT, signal.SIG_IGN),
     )
+
+
+def _parse_ops(ops: List[object]) -> List:
+    """Validate every mutation op before any is applied; returns one
+    ``session -> EcoStats`` callable per op."""
+    # Only a ready session's ops get here, and creating it loaded these.
+    from repro.board.technology import LogicFamily
+    from repro.grid.coords import ViaPoint
+
+    def parse(op):
+        if not isinstance(op, dict):
+            raise HttpError(400, "each op must be an object")
+        kind = op.get("op")
+        if kind == "move_part":
+            try:
+                part_id = int(op["part"])
+                to = op["to"]
+                origin = ViaPoint(int(to[0]), int(to[1]))
+            except (KeyError, TypeError, ValueError, IndexError, OverflowError):
+                raise HttpError(
+                    400, 'move_part needs {"part": id, "to": [vx, vy]}'
+                )
+            return lambda session: session.move_part(part_id, origin)
+        if kind == "cut_nets":
+            try:
+                nets = [int(n) for n in op["nets"]]
+            except (KeyError, TypeError, ValueError, OverflowError):
+                raise HttpError(400, 'cut_nets needs {"nets": [id, ...]}')
+            return lambda session: session.cut_nets(nets)
+        if kind == "add_nets":
+            try:
+                groups = [
+                    [int(p) for p in group] for group in op["pin_groups"]
+                ]
+                family = LogicFamily[str(op.get("family", "ECL")).upper()]
+            except (KeyError, TypeError, ValueError, OverflowError):
+                raise HttpError(
+                    400, 'add_nets needs {"pin_groups": [[pin, ...], ...]}'
+                )
+            return lambda session: session.add_nets(groups, family=family)
+        raise HttpError(400, f"unknown op {kind!r}")
+
+    return [parse(op) for op in ops]
 
 
 class RoutingServer:
@@ -456,6 +497,12 @@ class RoutingServer:
             # Adoption: the routed state ships with the request; no
             # routing happens, so no admission slot is needed.
             def adopt() -> Dict:
+                from repro.api import request_from_text
+                from repro.channels.workspace import RoutingWorkspace
+                from repro.core.result import Strategy
+                from repro.eco import EcoSession
+                from repro.io import load_routes
+
                 req = request_from_text(
                     board_text, connections_text, format=board_format
                 )
@@ -499,6 +546,9 @@ class RoutingServer:
         sink = job.sink
 
         def work() -> Dict:
+            from repro.api import begin_eco, request_from_text
+            from repro.api import route as api_route
+
             req = request_from_text(
                 board_text,
                 connections_text,
@@ -544,7 +594,10 @@ class RoutingServer:
         if not isinstance(ops, list) or not ops:
             raise HttpError(400, "ops must be a non-empty list")
         managed = self._session_or_404(name)
-        parsed = [self._parse_op(op) for op in ops]
+        # The session's /eco/begin imported the ECO stack already.
+        from repro.eco import EcoError
+
+        parsed = _parse_ops(ops)
 
         def work() -> List[Dict]:
             session = managed.session
@@ -580,41 +633,6 @@ class RoutingServer:
                 "pending": len(managed.session.pending),
             },
         )
-
-    @staticmethod
-    def _parse_op(op):
-        """Validate one mutation op eagerly; returns session -> EcoStats."""
-        if not isinstance(op, dict):
-            raise HttpError(400, "each op must be an object")
-        kind = op.get("op")
-        if kind == "move_part":
-            try:
-                part_id = int(op["part"])
-                to = op["to"]
-                origin = ViaPoint(int(to[0]), int(to[1]))
-            except (KeyError, TypeError, ValueError, IndexError):
-                raise HttpError(
-                    400, 'move_part needs {"part": id, "to": [vx, vy]}'
-                )
-            return lambda session: session.move_part(part_id, origin)
-        if kind == "cut_nets":
-            try:
-                nets = [int(n) for n in op["nets"]]
-            except (KeyError, TypeError, ValueError):
-                raise HttpError(400, 'cut_nets needs {"nets": [id, ...]}')
-            return lambda session: session.cut_nets(nets)
-        if kind == "add_nets":
-            try:
-                groups = [
-                    [int(p) for p in group] for group in op["pin_groups"]
-                ]
-                family = LogicFamily[str(op.get("family", "ECL")).upper()]
-            except (KeyError, TypeError, ValueError):
-                raise HttpError(
-                    400, 'add_nets needs {"pin_groups": [[pin, ...], ...]}'
-                )
-            return lambda session: session.add_nets(groups, family=family)
-        raise HttpError(400, f"unknown op {kind!r}")
 
     async def _handle_eco_reroute(self, request: Request, writer) -> None:
         body = request.json()
@@ -775,11 +793,7 @@ class RoutingServer:
                 status, payload, headers = error_payload(exc)
                 await send_json(writer, status, payload, headers)
                 return
-            except (
-                ConnectionError,
-                asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError,
-            ):
+            except (ConnectionError, asyncio.IncompleteReadError):
                 return
             if request is None:
                 return

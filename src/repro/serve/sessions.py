@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.eco import EcoSession
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.eco import EcoSession
 
 
 class ManagedSession:

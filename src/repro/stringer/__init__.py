@@ -7,7 +7,12 @@ end of the net. ... the stringing is repeated for each legal starting pin.
 The shortest overall path is then chosen."
 """
 
-from repro.stringer.baselines import random_stringing
-from repro.stringer.stringer import Stringer, StringingError
+from repro import lazy_exports
 
-__all__ = ["Stringer", "StringingError", "random_stringing"]
+_EXPORTS = {
+    "Stringer": "repro.stringer.stringer",
+    "StringingError": "repro.stringer.stringer",
+    "random_stringing": "repro.stringer.baselines",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,19 +14,16 @@ sharing no logic with the router:
   connected graph (a chain, for ECL) through its routed connections.
 """
 
-from repro.verify.connectivity import (
-    ConnectivityReport,
-    NetStatus,
-    check_connectivity,
-)
-from repro.verify.drc import DrcReport, DrcViolation, Severity, run_drc
+from repro import lazy_exports
 
-__all__ = [
-    "ConnectivityReport",
-    "DrcReport",
-    "DrcViolation",
-    "NetStatus",
-    "Severity",
-    "check_connectivity",
-    "run_drc",
-]
+_EXPORTS = {
+    "ConnectivityReport": "repro.verify.connectivity",
+    "DrcReport": "repro.verify.drc",
+    "DrcViolation": "repro.verify.drc",
+    "NetStatus": "repro.verify.connectivity",
+    "Severity": "repro.verify.drc",
+    "check_connectivity": "repro.verify.connectivity",
+    "run_drc": "repro.verify.drc",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

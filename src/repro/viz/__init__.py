@@ -1,22 +1,16 @@
 """Renderings of routing problems and solutions (Figures 20-22)."""
 
-from repro.viz.ascii_art import render_layer, render_via_map
-from repro.viz.ppm import (
-    render_all_layers,
-    render_postprocessed_layer,
-    render_power_plane,
-    render_problem,
-    render_signal_layer,
-    write_ppm,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "render_all_layers",
-    "render_layer",
-    "render_postprocessed_layer",
-    "render_power_plane",
-    "render_problem",
-    "render_signal_layer",
-    "render_via_map",
-    "write_ppm",
-]
+_EXPORTS = {
+    "render_all_layers": "repro.viz.ppm",
+    "render_layer": "repro.viz.ascii_art",
+    "render_postprocessed_layer": "repro.viz.ppm",
+    "render_power_plane": "repro.viz.ppm",
+    "render_problem": "repro.viz.ppm",
+    "render_signal_layer": "repro.viz.ppm",
+    "render_via_map": "repro.viz.ascii_art",
+    "write_ppm": "repro.viz.ppm",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -7,28 +7,19 @@ ECL nets strung output-first with local/global fanout mix, and power pins
 bound to plane nets.  See DESIGN.md §2 for the substitution argument.
 """
 
-from repro.workloads.backplane import (
-    BackplaneSpec,
-    connector_package,
-    generate_backplane,
-)
-from repro.workloads.boards import BoardSpec, generate_board
-from repro.workloads.netlist_gen import NetlistSpec, generate_nets
-from repro.workloads.titan import (
-    TITAN_CONFIGS,
-    TitanBoardConfig,
-    make_titan_board,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BackplaneSpec",
-    "BoardSpec",
-    "connector_package",
-    "generate_backplane",
-    "NetlistSpec",
-    "TITAN_CONFIGS",
-    "TitanBoardConfig",
-    "generate_board",
-    "generate_nets",
-    "make_titan_board",
-]
+_EXPORTS = {
+    "BackplaneSpec": "repro.workloads.backplane",
+    "BoardSpec": "repro.workloads.boards",
+    "connector_package": "repro.workloads.backplane",
+    "generate_backplane": "repro.workloads.backplane",
+    "NetlistSpec": "repro.workloads.netlist_gen",
+    "TITAN_CONFIGS": "repro.workloads.titan",
+    "TitanBoardConfig": "repro.workloads.titan",
+    "generate_board": "repro.workloads.boards",
+    "generate_nets": "repro.workloads.netlist_gen",
+    "make_titan_board": "repro.workloads.titan",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

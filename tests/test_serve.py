@@ -21,6 +21,7 @@ import json
 import multiprocessing
 import os
 import signal
+import socket
 import string
 import subprocess
 import sys
@@ -1052,4 +1053,50 @@ class TestShutdown:
         finally:
             if proc.poll() is None:
                 os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+
+
+#: Framing ``read_request`` must refuse: a negative body length, and a
+#: request or header line longer than the stream's 64 KiB line limit.
+MALFORMED_FRAMING = {
+    "negative_content_length": (
+        b"POST /route HTTP/1.1\r\nHost: t\r\nContent-Length: -5\r\n\r\n"
+    ),
+    "long_request_line": (
+        b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\nHost: t\r\n\r\n"
+    ),
+    "long_header_line": (
+        b"GET /healthz HTTP/1.1\r\nX-Filler: " + b"a" * (70 * 1024)
+        + b"\r\n\r\n"
+    ),
+}
+
+
+class TestHttpFraming:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FRAMING))
+    def test_malformed_framing_answers_400(self, case):
+        """The client gets a JSON 400, not a dropped connection, and the
+        server logs no traceback."""
+        proc = _start_grr_serve(stderr=subprocess.PIPE)
+        try:
+            banner = proc.stdout.readline()
+            assert "listening on http://" in banner
+            port = int(banner.rsplit(":", 1)[1])
+            with socket.create_connection(
+                ("127.0.0.1", port), timeout=30
+            ) as sock:
+                sock.sendall(MALFORMED_FRAMING[case])
+                response = b""
+                while chunk := sock.recv(65536):
+                    response += chunk
+            head, _, body = response.partition(b"\r\n\r\n")
+            assert head.split(b"\r\n")[0] == b"HTTP/1.1 400 Bad Request"
+            assert json.loads(body)["status"] == 400
+            proc.send_signal(signal.SIGTERM)
+            _, stderr = proc.communicate(timeout=60)
+            assert proc.returncode == 0
+            assert stderr == ""
+        finally:
+            if proc.poll() is None:
+                proc.kill()
                 proc.communicate()

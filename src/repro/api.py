@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 from repro.board.board import Board
 from repro.board.nets import Connection
 from repro.core.budget import RouteBudget
+from repro.core.profiling import RouterProfile
 from repro.core.result import RoutingResult
 from repro.core.router import RouterConfig, make_router
 from repro.io.registry import LoadedBoard, load_board, load_board_text
@@ -132,20 +133,51 @@ class RouteRequest:
 
 @dataclass(frozen=True)
 class RouteResponse:
-    """The outcome of one :func:`route` call."""
+    """The outcome of one :func:`route` call or ECO reroute.
+
+    Every count is kept once, on :attr:`result` (or, for a reroute, in
+    :attr:`eco_counts`); :attr:`stopped_reason`, :attr:`timings` and
+    :attr:`counters` are views of them.
+    """
 
     #: The full routing result (workspace, per-connection strategies,
-    #: Table 1 statistics).  Partial when ``stopped_reason`` is set.
+    #: Table 1 statistics, work counts).  Partial when
+    #: ``stopped_reason`` is set.
     result: RoutingResult
-    #: None when every connection routed; otherwise why the run stopped
-    #: short (``"deadline"`` / ``"stalled"`` / ``"max_passes"``).
-    stopped_reason: Optional[str]
-    #: Wall-clock seconds per router phase (zero_via/one_via/lee/...).
-    timings: Dict[str, float] = field(default_factory=dict)
-    #: Profile counters: gap-list hits/misses, search cap hits, ...
-    counters: Dict[str, int] = field(default_factory=dict)
+    #: Per-phase timing of the run; empty when no router ran (a reroute
+    #: with nothing pending).
+    profile: RouterProfile = field(default_factory=RouterProfile)
+    #: ``eco_invalidated`` / ``eco_reused`` / ``eco_rerouted`` of an ECO
+    #: reroute; empty for :func:`route`.
+    eco_counts: Dict[str, int] = field(default_factory=dict)
     #: Total wall-clock seconds spent inside ``route()``.
     elapsed_seconds: float = 0.0
+
+    @property
+    def stopped_reason(self) -> Optional[str]:
+        """None when every connection routed; otherwise why the run
+        stopped short (``"deadline"`` / ``"stalled"`` / ``"max_passes"``)."""
+        return self.result.stopped_reason
+
+    @property
+    def timings(self) -> Dict[str, float]:
+        """Wall-clock seconds per router phase (zero_via/one_via/lee/...)."""
+        return {
+            name: timing.seconds for name, timing in self.profile.phases.items()
+        }
+
+    @property
+    def counters(self) -> Dict[str, int]:
+        """The run's counts by name: search cap hits and retries, gap
+        lists reused and built, and a reroute's ECO counts."""
+        result = self.result
+        return {
+            "cap_hits": result.cap_hits,
+            "cap_retries": result.cap_retries,
+            "gap_cache_hits": result.gap_cache_hits,
+            "gap_cache_misses": result.gap_cache_misses,
+            **self.eco_counts,
+        }
 
     @property
     def complete(self) -> bool:
@@ -156,8 +188,8 @@ class RouteResponse:
 def route(request: RouteRequest) -> RouteResponse:
     """Route one request; never raises on budget exhaustion.
 
-    Builds the router, routes, and packages the result with the
-    per-phase timings and counters from the router's profile.
+    Builds the router, routes, and packages the result with the run's
+    per-phase timing.
     """
     router = make_router(
         request.board,
@@ -166,16 +198,22 @@ def route(request: RouteRequest) -> RouteResponse:
         sink=request.sink,
     )
     result = router.route(list(request.connections))
-    profile = router.profile
-    timings = {
-        name: timing.seconds for name, timing in profile.phases.items()
-    }
+    return respond(result, router.profile, result.cpu_seconds)
+
+
+def respond(
+    result: RoutingResult,
+    profile: RouterProfile,
+    elapsed_seconds: float,
+    eco_counts: Optional[Dict[str, int]] = None,
+) -> RouteResponse:
+    """The one place a :class:`RouteResponse` is built, for :func:`route`
+    and both paths of ``EcoSession.reroute``."""
     return RouteResponse(
         result=result,
-        stopped_reason=result.stopped_reason,
-        timings=timings,
-        counters=dict(profile.counters),
-        elapsed_seconds=result.cpu_seconds,
+        profile=profile,
+        eco_counts=eco_counts or {},
+        elapsed_seconds=elapsed_seconds,
     )
 
 

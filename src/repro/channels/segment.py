@@ -44,7 +44,3 @@ class Segment(NamedTuple):
     def length(self) -> int:
         """Number of grid cells covered."""
         return self.hi - self.lo + 1
-
-    def overlaps(self, lo: int, hi: int) -> bool:
-        """True if the segment shares at least one cell with ``[lo, hi]``."""
-        return self.lo <= hi and lo <= self.hi

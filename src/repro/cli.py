@@ -57,8 +57,9 @@ def _cmd_route(args: argparse.Namespace) -> int:
     import dataclasses
 
     from repro.analysis import format_table, table1_row
+    from repro.api import RouteRequest, route
     from repro.core.budget import STOP_DEADLINE
-    from repro.core.router import RouterConfig, make_router
+    from repro.core.router import RouterConfig
     from repro.io import save_routes
     from repro.obs import JsonlSink
 
@@ -85,22 +86,26 @@ def _cmd_route(args: argparse.Namespace) -> int:
             f"{args.board}; {len(connections)} left to route"
         )
     try:
-        router = make_router(
-            board, config, workspace=loaded.workspace, sink=sink
+        response = route(
+            RouteRequest(
+                board=board,
+                connections=connections,
+                config=config,
+                sink=sink,
+                workspace=loaded.workspace,
+            )
         )
-        result = router.route(connections)
     finally:
         if sink is not None:
             sink.close()
+    result = response.result
     if sink is not None:
         print(f"trace: {sink.emitted} events -> {args.trace}")
     if config.audit:
         print("audit: all post-pass invariant checks passed")
     if args.profile:
-        _print_profile(router.profile)
-        if result.stopped_reason is not None:
-            print(f"  stopped reason: {result.stopped_reason}")
-    save_routes(router.workspace, routes_out, source=loaded.source)
+        _print_profile(response)
+    save_routes(result.workspace, routes_out, source=loaded.source)
     print(format_table([table1_row(board, connections, result)]))
     if not result.complete:
         reason = (
@@ -164,24 +169,27 @@ def _load_route_inputs(args: argparse.Namespace):
     return loaded, args.routes
 
 
-def _print_profile(profile) -> None:
-    """Print the per-phase timing table and the event counters."""
+def _print_profile(response) -> None:
+    """Print a run's per-phase timing table, its counts and why it
+    stopped short (``--profile`` of ``grr route`` and ``grr eco``)."""
     print("profile:")
-    for row in profile.rows():
+    for row in response.profile.rows():
         print(
             f"  {row['phase']:<12} {row['calls']:>8} calls "
             f"{row['seconds']:>8.3f}s {row['pct']:>5.1f}%"
         )
-    hits = profile.counters.get("gap_cache_hits", 0)
-    misses = profile.counters.get("gap_cache_misses", 0)
+    counters = response.counters
+    hits = counters.pop("gap_cache_hits")
+    misses = counters.pop("gap_cache_misses")
     if hits or misses:
         print(
             f"  gap lists: {hits} reused / {misses} built "
             f"({100.0 * hits / (hits + misses):.1f}% reused)"
         )
-    for counter, amount in sorted(profile.counters.items()):
-        if counter not in ("gap_cache_hits", "gap_cache_misses"):
-            print(f"  {counter}: {amount}")
+    for counter, amount in sorted(counters.items()):
+        print(f"  {counter}: {amount}")
+    if response.stopped_reason is not None:
+        print(f"  stopped reason: {response.stopped_reason}")
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
@@ -366,7 +374,7 @@ def _cmd_eco(args: argparse.Namespace) -> int:
                 f"{counters.get('eco_rerouted', 0)} rerouted"
             )
             if args.profile:
-                _print_profile_counters(counters, response.timings)
+                _print_profile(response)
             save_routes(
                 session.workspace, routes_out, source=loaded.source
             )
@@ -455,15 +463,6 @@ def _load_eco_inputs(args: argparse.Namespace):
     with open(args.routes_in) as f:
         restored = load_routes(workspace, f)
     return loaded, workspace, restored, args.routes_out
-
-
-def _print_profile_counters(counters, timings) -> None:
-    """Print the eco reroute's timings and counters (``--profile``)."""
-    print("profile:")
-    for name, seconds in sorted(timings.items()):
-        print(f"  {name:<12} {seconds:>8.3f}s")
-    for counter, amount in sorted(counters.items()):
-        print(f"  {counter}: {amount}")
 
 
 def _cmd_kicad(args: argparse.Namespace) -> int:

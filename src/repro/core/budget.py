@@ -54,6 +54,10 @@ STOP_MAX_PASSES = "max_passes"
 #: Per-connection failure reason when every strategy and rip-up round was
 #: genuinely exhausted (as opposed to the clock running out first).
 FAIL_BLOCKED = "blocked"
+#: Per-connection failure reason when the Lee search was still cut short
+#: by its gap cap after the raised-cap retry: the blockage is unproven,
+#: so no rip-up was tried for it.
+FAIL_TRUNCATED = "truncated"
 
 
 @dataclass(frozen=True)

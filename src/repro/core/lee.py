@@ -279,11 +279,10 @@ def _finish(
     marked = len(marks[0]) + len(marks[1])
     if meet is None:
         # A cap-truncated search may have hidden reachable neighbors: the
-        # failure is then unproven, and the reason says so.  Every
-        # blocked reason gets the suffix — consumers (failure_reasons in
-        # the api/serve summaries, rip-up victim selection) key on it to
-        # tell truncations from hard blockages, so it must track
-        # ``cap_hits`` exactly, whatever ended the search.
+        # failure is then unproven, and the reason says so.  The suffix
+        # is for people reading events and results; the router tells a
+        # truncation from a hard blockage by ``cap_hits``, not by
+        # parsing it.
         if stats.cap_hits > 0:
             reason += " (gap cap)"
         if sink.enabled:

@@ -29,12 +29,13 @@ class PhaseTiming:
 
 @dataclass
 class RouterProfile:
-    """Per-phase timing and event counters of a routing run."""
+    """Per-phase timing of a routing run.
+
+    Timing only: what a run did (searches, cap hits, gap lists) is
+    counted on its :class:`~repro.core.result.RoutingResult`.
+    """
 
     phases: Dict[str, PhaseTiming] = field(default_factory=dict)
-    #: Named event tallies (``gap_cache_hits``, ``gap_cache_misses``,
-    #: ``cap_hits``, ...).
-    counters: Dict[str, int] = field(default_factory=dict)
     #: Live nesting depth per phase; only the outermost ``measure`` of a
     #: phase accumulates wall time, so re-entrant calls don't double-count.
     _depth: Dict[str, int] = field(
@@ -61,10 +62,6 @@ class RouterProfile:
             self._depth[phase] -= 1
             if depth == 0:
                 timing.seconds += time.perf_counter() - started
-
-    def bump(self, counter: str, amount: int = 1) -> None:
-        """Add ``amount`` to one named counter."""
-        self.counters[counter] = self.counters.get(counter, 0) + amount
 
     @property
     def total_seconds(self) -> float:

@@ -41,14 +41,25 @@ class RoutingResult:
     passes: int = 0
     cpu_seconds: float = 0.0
     lee_expansions: int = 0
+    #: Single-layer searches the gap cap cut short, over every Lee search.
+    cap_hits: int = 0
+    #: Lee searches rerun at a raised gap cap because the first one was
+    #: cap-truncated (see ``repro.core.router.CAP_RETRY_FACTOR``).
+    cap_retries: int = 0
+    #: Free-gap lists the run's Lee searches reused / built
+    #: (``RoutingWorkspace.gap_cache_stats()`` over the run).
+    gap_cache_hits: int = 0
+    gap_cache_misses: int = 0
     #: Why routing stopped short of completing every connection: one of
     #: ``"deadline"`` (wall-clock budget ran out), ``"stalled"`` (the
     #: §8.4 progress guard fired) or ``"max_passes"``.  None exactly when
     #: the run is complete.
     stopped_reason: Optional[str] = None
     #: Per-connection failure reasons for :attr:`failed` entries:
-    #: ``"blocked"`` (every strategy exhausted), ``"deadline"`` (the call
-    #: ran out of wall clock first) or ``"connection_timeout"``.
+    #: ``"blocked"`` (every strategy exhausted), ``"truncated"`` (the Lee
+    #: search stayed cut short by its gap cap, so the blockage is
+    #: unproven and nothing was ripped up for it), ``"deadline"`` (the
+    #: call ran out of wall clock first) or ``"connection_timeout"``.
     failure_reasons: Dict[int, str] = field(default_factory=dict)
 
     @property

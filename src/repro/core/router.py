@@ -20,6 +20,7 @@ from repro.board.nets import Connection
 from repro.channels.workspace import RouteRecord, RoutingWorkspace
 from repro.core.budget import (
     FAIL_BLOCKED,
+    FAIL_TRUNCATED,
     STOP_DEADLINE,
     STOP_MAX_PASSES,
     STOP_STALLED,
@@ -54,6 +55,12 @@ from repro.obs.sinks import NULL_SINK, EventSink
 #: evidence destroys innocent routes (and the truncated ``best_points``
 #: may not even be near the real congestion).
 CAP_RETRY_FACTOR = 4
+
+#: Extra passes tolerated without reducing the unrouted count.  The
+#: paper's guard is strict ("fewer unrouted connections"); allowing a
+#: short stall lets pass N+1 profit from space freed by pass N's
+#: rip-ups before declaring the problem impossible.
+MAX_STALLED_PASSES = 2
 
 
 def _audit_default() -> bool:
@@ -90,11 +97,6 @@ class RouterConfig:
     budget: RouteBudget = field(default_factory=RouteBudget)
     rip_radius: int = 2
     max_passes: int = 24
-    #: Extra passes tolerated without reducing the unrouted count.  The
-    #: paper's guard is strict ("fewer unrouted connections"); allowing a
-    #: short stall lets pass N+1 profit from space freed by pass N's
-    #: rip-ups before declaring the problem impossible.
-    max_stalled_passes: int = 2
     #: Run the :class:`repro.obs.WorkspaceAuditor` after every pass,
     #: raising on any violation.
     #: Defaults on when the ``GRR_AUDIT`` environment variable is set.
@@ -183,7 +185,7 @@ class GreedyRouter:
                 stalled = 0
             else:
                 stalled += 1
-                if stalled > cfg.max_stalled_passes:
+                if stalled > MAX_STALLED_PASSES:
                     # No progress: the problem is too hard (§8.4).
                     result.stopped_reason = STOP_STALLED
                     break
@@ -230,27 +232,18 @@ class GreedyRouter:
             for cid in result.failed
         }
         result.cpu_seconds = time.perf_counter() - started
-        self._note_cache_stats(cache_before, "route")
-        return result
-
-    def _note_cache_stats(
-        self, before: Tuple[int, int, int], context: str
-    ) -> None:
-        """Fold this run's free-gap traffic into profile counters and
-        emit one :class:`~repro.obs.events.CacheStats` event."""
         hits_after, built_after, _ = self.workspace.gap_cache_stats()
-        hits = hits_after - before[0]
-        misses = built_after - before[1]
-        if hits or misses:
-            self.profile.bump("gap_cache_hits", hits)
-            self.profile.bump("gap_cache_misses", misses)
-        if self.sink.enabled:
+        result.gap_cache_hits = hits_after - cache_before[0]
+        result.gap_cache_misses = built_after - cache_before[1]
+        if sink.enabled:
+            hits, misses = result.gap_cache_hits, result.gap_cache_misses
             total = hits + misses
-            self.sink.emit(
+            sink.emit(
                 CacheStats(
-                    context, hits, misses, hits / total if total else 0.0
+                    "route", hits, misses, hits / total if total else 0.0
                 )
             )
+        return result
 
     def _audit(self, context: str) -> None:
         """Verify workspace invariants, emit the event, raise on breakage."""
@@ -278,15 +271,16 @@ class GreedyRouter:
         passable: FrozenSet[int],
         attempt: int = 0,
         budget: Optional[BudgetTracker] = None,
+        result: Optional[RoutingResult] = None,
     ) -> Tuple[Optional[RouteRecord], Optional[Strategy], Optional[LeeSearchResult]]:
         """One attempt through zero-via, one-via and Lee.
 
         A timed ``budget`` is consulted between strategies and threaded
         into every search; exhaustion truncates the attempt (returns the
-        all-None triple) and the caller unwinds.
+        all-None triple) and the caller unwinds.  The Lee search's work
+        is counted on ``result`` when one is given.
         """
         cfg = self.config
-        caps = cfg.budget
         ws = self.workspace
         sink = self.sink
         if conn.a == conn.b:
@@ -294,69 +288,42 @@ class GreedyRouter:
             # for stacked pin models); it is trivially connected.
             builder = ws.route_builder(conn.conn_id, passable)
             return builder.commit(), Strategy.ZERO_VIA, None
-        if cfg.enable_zero_via:
-            with self.profile.measure("zero_via"):
-                record = try_zero_via(
-                    ws, conn, cfg.radius, passable, caps.max_gaps, budget
-                )
-            if sink.enabled:
-                sink.emit(
-                    StrategyAttempt(
-                        conn.conn_id, "zero_via", record is not None, attempt
-                    )
-                )
-            if record is not None:
-                return record, Strategy.ZERO_VIA, None
-            if budget is not None and budget.search_exceeded():
-                return None, None, None
-        if cfg.enable_one_via:
-            with self.profile.measure("one_via"):
-                record = try_one_via(
-                    ws, conn, cfg.radius, passable, caps.max_gaps, budget
-                )
-            if sink.enabled:
-                sink.emit(
-                    StrategyAttempt(
-                        conn.conn_id, "one_via", record is not None, attempt
-                    )
-                )
-            if record is not None:
-                return record, Strategy.ONE_VIA, None
-            if budget is not None and budget.search_exceeded():
-                return None, None, None
-        if cfg.enable_two_via:
-            with self.profile.measure("two_via"):
-                record = try_two_via(
+        # The optimal strategies in §8.4's order.  The table is built per
+        # call so that each function is read from the module globals
+        # every time: a wrapper set on the module attribute sees each call.
+        for strategy, enabled, try_strategy in (
+            (Strategy.ZERO_VIA, cfg.enable_zero_via, try_zero_via),
+            (Strategy.ONE_VIA, cfg.enable_one_via, try_one_via),
+            (Strategy.TWO_VIA, cfg.enable_two_via, try_two_via),
+        ):
+            if not enabled:
+                continue
+            with self.profile.measure(strategy.value):
+                record = try_strategy(
                     ws,
                     conn,
                     cfg.radius,
                     passable,
-                    caps.max_gaps,
+                    cfg.budget.max_gaps,
                     budget=budget,
                 )
             if sink.enabled:
                 sink.emit(
                     StrategyAttempt(
-                        conn.conn_id, "two_via", record is not None, attempt
+                        conn.conn_id,
+                        strategy.value,
+                        record is not None,
+                        attempt,
                     )
                 )
             if record is not None:
-                return record, Strategy.TWO_VIA, None
+                return record, strategy, None
             if budget is not None and budget.search_exceeded():
                 return None, None, None
         if cfg.enable_lee:
-            with self.profile.measure("lee"):
-                search = lee_route(
-                    ws,
-                    conn,
-                    radius=cfg.radius,
-                    passable=passable,
-                    cost_fn=cfg.cost_fn,
-                    max_expansions=caps.max_lee_expansions,
-                    max_gaps=caps.max_gaps,
-                    sink=sink,
-                    budget=budget,
-                )
+            search = self._lee(
+                conn, passable, cfg.budget.max_gaps, budget, result
+            )
             if sink.enabled:
                 sink.emit(
                     StrategyAttempt(
@@ -367,6 +334,33 @@ class GreedyRouter:
                 return search.record, Strategy.LEE, search
             return None, None, search
         return None, None, None
+
+    def _lee(
+        self,
+        conn: Connection,
+        passable: FrozenSet[int],
+        max_gaps: int,
+        budget: Optional[BudgetTracker],
+        result: Optional[RoutingResult],
+    ) -> LeeSearchResult:
+        """One timed Lee search, its work counted on ``result``."""
+        cfg = self.config
+        with self.profile.measure("lee"):
+            search = lee_route(
+                self.workspace,
+                conn,
+                radius=cfg.radius,
+                passable=passable,
+                cost_fn=cfg.cost_fn,
+                max_expansions=cfg.budget.max_lee_expansions,
+                max_gaps=max_gaps,
+                sink=self.sink,
+                budget=budget,
+            )
+        if result is not None:
+            result.lee_expansions += search.expansions
+            result.cap_hits += search.cap_hits
+        return search
 
     def _rip_points(
         self, conn: Connection, search: Optional[LeeSearchResult]
@@ -402,6 +396,7 @@ class GreedyRouter:
         ripped: Dict[int, Tuple[RouteRecord, Optional[Strategy]]] = {}
         routed = False
         attempt = 0
+        still_truncated = False
         budget = tracker.hot() if tracker is not None else None
         if budget is not None:
             budget.start_connection(conn.conn_id)
@@ -411,13 +406,8 @@ class GreedyRouter:
             ):
                 break
             record, strategy, search = self._try_strategies(
-                conn, passable, attempt, budget
+                conn, passable, attempt, budget, result
             )
-            if search is not None:
-                result.lee_expansions += search.expansions
-                if search.cap_hits:
-                    self.profile.bump("cap_hits", search.cap_hits)
-            still_truncated = False
             if (
                 record is None
                 and search is not None
@@ -429,22 +419,14 @@ class GreedyRouter:
                 # unproven — hidden reachable neighbors may exist past
                 # the gap cap.  Retry once with the cap raised before
                 # letting rip-up act on the result (see CAP_RETRY_FACTOR).
-                self.profile.bump("cap_retries", 1)
-                with self.profile.measure("lee"):
-                    search = lee_route(
-                        ws,
-                        conn,
-                        radius=cfg.radius,
-                        passable=passable,
-                        cost_fn=cfg.cost_fn,
-                        max_expansions=cfg.budget.max_lee_expansions,
-                        max_gaps=cfg.budget.max_gaps * CAP_RETRY_FACTOR,
-                        sink=sink,
-                        budget=budget,
-                    )
-                result.lee_expansions += search.expansions
-                if search.cap_hits:
-                    self.profile.bump("cap_hits", search.cap_hits)
+                result.cap_retries += 1
+                search = self._lee(
+                    conn,
+                    passable,
+                    cfg.budget.max_gaps * CAP_RETRY_FACTOR,
+                    budget,
+                    result,
+                )
                 if search.routed:
                     record, strategy = search.record, Strategy.LEE
                 elif search.cap_hits > 0:
@@ -504,7 +486,9 @@ class GreedyRouter:
                 if budget is not None
                 else None
             )
-            result.failure_reasons[conn.conn_id] = scope or FAIL_BLOCKED
+            result.failure_reasons[conn.conn_id] = scope or (
+                FAIL_TRUNCATED if still_truncated else FAIL_BLOCKED
+            )
             if sink.enabled:
                 sink.emit(ConnectionFailed(conn.conn_id, attempt + 1))
         # Putback (Section 8.3): most ripped-up connections fit back

@@ -39,13 +39,14 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.api import RouteResponse
+from repro.api import respond
 from repro.board.board import Board
 from repro.board.nets import Connection, NetKind
 from repro.board.technology import LogicFamily
 from repro.channels.channel import ChannelConflictError
 from repro.channels.workspace import RoutingWorkspace
 from repro.core.budget import RouteBudget
+from repro.core.profiling import RouterProfile
 from repro.core.result import RoutingResult, Strategy
 from repro.core.router import RouterConfig, make_router
 from repro.grid.coords import ViaPoint
@@ -402,67 +403,47 @@ class EcoSession:
             c for c in self.connections if not ws.is_routed(c.conn_id)
         ]
         reused = len(self.connections) - len(pending)
-        if not pending:
-            self._invalidated.clear()
-            if self.sink.enabled:
-                self.sink.emit(
-                    EcoReroute(
-                        len(self.connections), invalidated, reused,
-                        0, 0, True, time.perf_counter() - started,
-                    )
-                )
+        if pending:
+            config = self.config
+            if budget is not None:
+                config = replace(config, budget=budget)
+            router = make_router(
+                self.board, config, workspace=ws, sink=self.sink
+            )
+            result = router.route(list(self.connections))
+            profile = router.profile
+            rerouted = len(result.routed_by)
+            self._routed_by = {
+                conn_id: strategy
+                for conn_id, strategy in self._routed_by.items()
+                if ws.is_routed(conn_id)
+            }
+            self._routed_by.update(result.routed_by)
+        else:
             result = RoutingResult(
-                workspace=ws,
-                connections=list(self.connections),
-                routed_by=dict(self._routed_by),
+                workspace=ws, connections=list(self.connections)
             )
-            return RouteResponse(
-                result=result,
-                stopped_reason=None,
-                counters={
-                    "eco_invalidated": invalidated,
-                    "eco_reused": reused,
-                    "eco_rerouted": 0,
-                },
-                elapsed_seconds=time.perf_counter() - started,
-            )
-
-        config = self.config
-        if budget is not None:
-            config = replace(config, budget=budget)
-        router = make_router(self.board, config, workspace=ws, sink=self.sink)
-        result = router.route(list(self.connections))
-        rerouted = len(result.routed_by)
-        self._invalidated.clear()
-        self._routed_by = {
-            conn_id: strategy
-            for conn_id, strategy in self._routed_by.items()
-            if ws.is_routed(conn_id)
-        }
-        self._routed_by.update(result.routed_by)
+            profile = RouterProfile()
+            rerouted = 0
         result.routed_by = dict(self._routed_by)
+        self._invalidated.clear()
         elapsed = time.perf_counter() - started
         if self.sink.enabled:
             self.sink.emit(
                 EcoReroute(
                     len(self.connections), invalidated, reused,
-                    rerouted, len(result.failed), False, elapsed,
+                    rerouted, len(result.failed), not pending, elapsed,
                 )
             )
-        profile = router.profile
-        profile.bump("eco_invalidated", invalidated)
-        profile.bump("eco_reused", reused)
-        profile.bump("eco_rerouted", rerouted)
-        timings = {
-            name: timing.seconds
-            for name, timing in profile.phases.items()
-        }
-        return RouteResponse(
-            result=result,
-            stopped_reason=result.stopped_reason,
-            timings=timings,
-            counters=dict(profile.counters),
-            elapsed_seconds=elapsed,
+        return respond(
+            result,
+            profile,
+            elapsed,
+            {
+                "eco_invalidated": invalidated,
+                "eco_reused": reused,
+                "eco_rerouted": rerouted,
+            },
         )
 
     # ------------------------------------------------------------------

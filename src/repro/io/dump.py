@@ -18,7 +18,7 @@ solution occupies precisely the same channels and via sites.
 
 from __future__ import annotations
 
-from typing import List, Set, TextIO
+from typing import List, Sequence, Set, TextIO
 
 from repro.channels.workspace import (
     RouteLink,
@@ -57,14 +57,28 @@ def load_routes(workspace: RoutingWorkspace, stream: TextIO) -> List[int]:
     """Reinstall dumped routes into a (pins-only) workspace.
 
     Returns the connection ids restored.  Raises :class:`RouteDumpError`
-    if the text is not a route dump, if a record is malformed (see
-    :func:`_check_record`) or if a route no longer fits — a dump only
-    makes sense against the same board.  Every record is read and
-    checked before the workspace is touched, and a route that does not
-    fit takes the ones restored before it back out: on any error the
-    workspace is left as it was.
+    if the text is not a route dump, or as :func:`restore_records` does
+    — a dump only makes sense against the same board.  Every record is
+    read before the workspace is touched.
     """
-    records = _read_records(workspace, stream)
+    return restore_records(workspace, _read_records(stream))
+
+
+def restore_records(
+    workspace: RoutingWorkspace, records: Sequence[RouteRecord]
+) -> List[int]:
+    """Install routes read from a file, all of them or none.
+
+    Returns the connection ids restored.  Raises :class:`RouteDumpError`
+    if a record is malformed (see :func:`_check_record`) or a route no
+    longer fits.  Every record is checked before the workspace is
+    touched, and a route that does not fit takes the ones restored
+    before it back out: on any error the workspace is left as it was.
+    """
+    seen: Set[int] = set(workspace.records)
+    for record in records:
+        _check_record(workspace, record, seen)
+        seen.add(record.conn_id)
     restored: List[int] = []
     try:
         for record in records:
@@ -80,12 +94,9 @@ def load_routes(workspace: RoutingWorkspace, stream: TextIO) -> List[int]:
     return restored
 
 
-def _read_records(
-    workspace: RoutingWorkspace, stream: TextIO
-) -> List[RouteRecord]:
-    """Parse and check every record of a dump; touches no state."""
+def _read_records(stream: TextIO) -> List[RouteRecord]:
+    """Parse every record of a dump."""
     records: List[RouteRecord] = []
-    seen: Set[int] = set(workspace.records)
     record: RouteRecord = None  # type: ignore[assignment]
     for line_no, raw in enumerate(stream, 1):
         line = raw.strip()
@@ -123,8 +134,6 @@ def _read_records(
             elif kind == "end":
                 if record is None:
                     raise RouteDumpError("end outside a route record")
-                _check_record(workspace, record, seen)
-                seen.add(record.conn_id)
                 records.append(record)
                 record = None  # type: ignore[assignment]
             else:

@@ -46,6 +46,7 @@ from repro.board.technology import LogicFamily, TechRules
 from repro.channels.workspace import RouteRecord, RoutingWorkspace
 from repro.extensions.dispersion import DispersionError, PadSpec, disperse_pads
 from repro.grid.coords import GridPoint, ViaPoint
+from repro.io.dump import RouteDumpError, restore_records
 from repro.io.registry import InputError
 from repro.io.sexp import (
     Atom,
@@ -219,8 +220,8 @@ def _copper_layers(root: SList) -> Tuple[List[str], List[str]]:
         if len(atoms) < 3:
             continue
         try:
-            number = int(atoms[0])
-        except ValueError:
+            number = entry.number(0, int)
+        except SExpError:
             continue
         name, kind = atoms[1], atoms[2]
         if not name.endswith(".Cu"):
@@ -252,11 +253,8 @@ def _at_values(node: SList) -> Tuple[float, float, float]:
     at = node.find("at")
     if at is None:
         raise KicadFormatError(f"{node.tag!r} has no (at ...)")
-    values = at.atoms()[1:]
-    x = float(values[0])
-    y = float(values[1])
-    rot = float(values[2]) if len(values) > 2 else 0.0
-    return x, y, rot
+    rot = at.number(3) if at.atom(3) is not None else 0.0
+    return at.number(1), at.number(2), rot
 
 
 def _scan_pads(root: SList) -> List[PadRecord]:
@@ -283,8 +281,8 @@ def _scan_pads(root: SList) -> List[PadRecord]:
                 y = fy - px * sin_a + py * cos_a
                 net_node = pad.find("net")
                 kicad_net = 0
-                if net_node is not None:
-                    kicad_net = int(net_node.atom(1) or 0)
+                if net_node is not None and net_node.atom(1):
+                    kicad_net = net_node.number(1, int)
                 pads.append(
                     PadRecord(
                         pad_id=index,
@@ -314,16 +312,15 @@ def _edge_bounds(root: SList) -> Optional[Tuple[float, float, float, float]]:
             if not isinstance(child, SList):
                 continue
             if child.tag in ("start", "end", "center", "mid"):
-                values = child.atoms()[1:]
-                if len(values) >= 2:
-                    xs.append(float(values[0]))
-                    ys.append(float(values[1]))
+                points = [child]
             elif child.tag == "pts":
-                for xy in child.find_all("xy"):
-                    values = xy.atoms()[1:]
-                    if len(values) >= 2:
-                        xs.append(float(values[0]))
-                        ys.append(float(values[1]))
+                points = child.find_all("xy")
+            else:
+                continue
+            for point in points:
+                if point.atom(2) is not None:
+                    xs.append(point.number(1))
+                    ys.append(point.number(2))
     if not xs or not ys:
         return None
     return min(xs), min(ys), max(xs), max(ys)
@@ -397,7 +394,7 @@ def import_board(
         values = net.atoms()[1:]
         if not values:
             continue
-        net_id = int(values[0])
+        net_id = net.number(1, int)
         net_names[net_id] = values[1] if len(values) > 1 else ""
 
     pads = _scan_pads(root)
@@ -649,8 +646,8 @@ def _restore_exported_routes(imp: KicadImport) -> None:
                 f"segment {marker}: unknown copper layer {layer_name!r}"
             )
         index = layer_index[layer_name]
-        a = imp.mm_to_grid(float(start.atom(1)), float(start.atom(2)))
-        b = imp.mm_to_grid(float(end.atom(1)), float(end.atom(2)))
+        a = imp.mm_to_grid(start.number(1), start.number(2))
+        b = imp.mm_to_grid(end.number(1), end.number(2))
         layer = imp.workspace.layers[index]
         ca, ka = layer.point_cc(a)
         cb, kb = layer.point_cc(b)
@@ -672,19 +669,22 @@ def _restore_exported_routes(imp: KicadImport) -> None:
         at = node.find("at")
         if at is None:
             raise KicadFormatError(f"via {marker}: missing (at ...)")
-        point = imp.mm_to_grid(float(at.atom(1)), float(at.atom(2)))
+        point = imp.mm_to_grid(at.number(1), at.number(2))
         g = imp.board.grid.grid_per_via
         if point.gx % g or point.gy % g:
             raise KicadFormatError(f"via {marker}: not on a via site")
         record = records.setdefault(conn_id, RouteRecord(conn_id=conn_id))
         record.vias.append(ViaPoint(point.gx // g, point.gy // g))
-    for conn_id in sorted(records):
-        if not imp.workspace.restore_record(records[conn_id]):
-            raise KicadFormatError(
-                f"exported route {conn_id} no longer fits the imported "
-                "board (was the document edited?)"
+    try:
+        imp.restored.extend(
+            restore_records(
+                imp.workspace, [records[c] for c in sorted(records)]
             )
-        imp.restored.append(conn_id)
+        )
+    except RouteDumpError as exc:
+        raise KicadFormatError(
+            f"exported routes: {exc} (was the document edited?)"
+        ) from exc
 
 
 def _parse_conn_marker(marker: str) -> int:

@@ -17,9 +17,13 @@ decimals) for the spliced content.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Union
+from typing import Callable, Iterator, List, Optional, Union
 
 from repro.io.registry import InputError
+
+#: KiCad keeps every length as a signed 32-bit count of nanometres, so no
+#: number in a board file is larger than this in magnitude.
+MAX_NUMBER = 2.0**31
 
 
 class SExpError(InputError):
@@ -40,14 +44,6 @@ class Atom:
     start: int  #: offset of the first source character
     end: int  #: offset one past the last source character
     quoted: bool = False
-
-    def as_int(self) -> int:
-        """The atom as an integer (KiCad writes them bare)."""
-        return int(self.value)
-
-    def as_float(self) -> float:
-        """The atom as a float (coordinates, sizes, angles)."""
-        return float(self.value)
 
 
 @dataclass
@@ -95,6 +91,28 @@ class SList:
                     return item.value
                 seen += 1
         return None
+
+    def number(self, index: int, kind: Callable = float) -> float:
+        """The index-th direct atom child (see :meth:`atom`) as a
+        ``float`` or, with ``kind=int``, an ``int``.
+
+        Raises :class:`SExpError` when that atom is missing, is not a
+        number of that kind, or is larger than :data:`MAX_NUMBER` in
+        magnitude (NaN and the infinities included).
+        """
+        text = self.atom(index)
+        try:
+            value = kind(text)
+        except (TypeError, ValueError):
+            value = None
+        if value is None or not abs(value) <= MAX_NUMBER:
+            found = "nothing" if text is None else repr(text)
+            raise SExpError(
+                f"({self.tag} ...) operand {index}: expected a number, "
+                f"found {found}",
+                self.start,
+            )
+        return value
 
     def value_of(self, tag: str, index: int = 1) -> Optional[str]:
         """Shorthand: ``find(tag)`` then that child's ``atom(index)``."""

@@ -35,11 +35,6 @@ class ServeConfig:
     session_ttl_seconds: Optional[float] = 300.0
     #: How often the evictor scans for idle sessions.
     evict_interval_seconds: float = 5.0
-    #: Finished jobs kept for ``GET /jobs/{id}`` before the oldest are
-    #: forgotten.
-    max_jobs_retained: int = 256
-    #: Per-job event log bound (see :class:`~repro.serve.sink.AsyncSink`).
-    event_capacity: int = 100_000
     #: Largest accepted request body (boards ship as text).
     max_body_bytes: int = 64 * 1024 * 1024
 

@@ -10,6 +10,9 @@ from repro.serve.sink import AsyncSink
 
 #: Lifecycle: accepted -> queued -> running -> done | failed.
 STATES = ("accepted", "queued", "running", "done", "failed")
+#: Finished jobs kept for ``GET /jobs/{id}`` before the oldest are
+#: forgotten.
+MAX_JOBS_RETAINED = 256
 
 
 class Job:
@@ -74,18 +77,18 @@ class Job:
 class JobRegistry:
     """Id-keyed job store with a bounded finished-job history."""
 
-    def __init__(self, max_retained: int = 256) -> None:
-        self.max_retained = max(1, max_retained)
+    def __init__(self) -> None:
         self._jobs: Dict[str, Job] = {}
         self._finished: Deque[str] = deque()
-        self._seq = 0
+        #: Jobs created so far (accepted requests); numbers the job ids.
+        self.created = 0
 
     def __len__(self) -> int:
         return len(self._jobs)
 
     def create(self, kind: str, sink: AsyncSink, session: str = "") -> Job:
-        self._seq += 1
-        job = Job(f"{kind}-{self._seq:06d}", kind, sink, session=session)
+        self.created += 1
+        job = Job(f"{kind}-{self.created:06d}", kind, sink, session=session)
         self._jobs[job.job_id] = job
         return job
 
@@ -95,7 +98,7 @@ class JobRegistry:
     def finish(self, job: Job) -> None:
         """Record completion and forget the oldest finished jobs."""
         self._finished.append(job.job_id)
-        while len(self._finished) > self.max_retained:
+        while len(self._finished) > MAX_JOBS_RETAINED:
             self._jobs.pop(self._finished.popleft(), None)
 
     def counts(self) -> Dict[str, int]:

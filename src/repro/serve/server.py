@@ -40,7 +40,6 @@ import time
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.core.profiling import RouterProfile
 from repro.io.registry import InputError, UnknownReferenceError
 from repro.obs.events import ServeAccept, ServeAdmit, ServeEvict, ServeReject
 from repro.obs.sinks import NULL_SINK, EventSink
@@ -138,18 +137,17 @@ def _route_job(
     board_format: str,
     budget: RouteBudget,
     include_routes: bool,
-    event_capacity: int,
 ) -> Tuple[Dict, List[Dict[str, object]], int]:
     """One ``/route`` job, run in a worker process.
 
     Returns the response payload, the job's event records (the dicts
-    :class:`AsyncSink` logs) and how many events were dropped past
-    ``event_capacity``.  An exception goes back to the server pickled,
+    :class:`AsyncSink` logs) and how many events were dropped past the
+    sink's capacity.  An exception goes back to the server pickled,
     which every ``repro`` exception survives.
     """
     from repro.api import request_from_text, route as api_route
 
-    sink = AsyncSink(capacity=event_capacity)
+    sink = AsyncSink()
     request = request_from_text(
         board_text,
         connections_text,
@@ -240,12 +238,7 @@ class RoutingServer:
         #: log when pointed at a JsonlSink).  Per-job routing events go
         #: to each job's AsyncSink instead.
         self.sink = sink if sink is not None else NULL_SINK
-        #: serve_accepts / serve_admits / serve_rejects / serve_evicts
-        #: counters, mirroring the four serve events one-for-one, and
-        #: serve_worker_restarts (executors replaced after their worker
-        #: process died).
-        self.profile = RouterProfile()
-        self.jobs = JobRegistry(config.max_jobs_retained)
+        self.jobs = JobRegistry()
         self.sessions = SessionManager(config.session_ttl_seconds)
         self.admission = AdmissionController(
             config.max_concurrent, config.max_queue_depth
@@ -259,6 +252,8 @@ class RoutingServer:
         self._idle_workers: List[Optional["ProcessPoolExecutor"]] = [
             None
         ] * config.max_concurrent
+        #: ``/route`` executors replaced after their worker process died.
+        self.worker_restarts = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._evictor: Optional[asyncio.Task] = None
@@ -311,7 +306,6 @@ class RoutingServer:
             for name, idle in self.sessions.evict_idle():
                 if self.sink.enabled:
                     self.sink.emit(ServeEvict(name, round(idle, 3)))
-                self.profile.bump("serve_evicts")
 
     # ------------------------------------------------------------------
     # job machinery
@@ -321,11 +315,10 @@ class RoutingServer:
         self, endpoint: str, kind: str, session: str = ""
     ) -> Tuple[Job, Optional[asyncio.Future]]:
         """Create a job and make the admission decision, 429 on full."""
-        sink = AsyncSink(self._loop, capacity=self.config.event_capacity)
+        sink = AsyncSink(self._loop)
         job = self.jobs.create(kind, sink, session=session)
         if self.sink.enabled:
             self.sink.emit(ServeAccept(endpoint, job.job_id, session))
-        self.profile.bump("serve_accepts")
         try:
             grant = self.admission.reserve()
         except AdmissionRejected as exc:
@@ -338,7 +331,6 @@ class RoutingServer:
                         round(exc.retry_after, 3),
                     )
                 )
-            self.profile.bump("serve_rejects")
             job.state = "failed"
             job.error = str(exc)
             job.finished = time.time()
@@ -381,7 +373,6 @@ class RoutingServer:
                         self.admission.running,
                     )
                 )
-            self.profile.bump("serve_admits")
             ran_from = loop.time()
             try:
                 if managed is not None:
@@ -445,7 +436,7 @@ class RoutingServer:
 
     def _discard_worker(self, pool: "ProcessPoolExecutor") -> None:
         pool.shutdown(wait=False)
-        self.profile.bump("serve_worker_restarts")
+        self.worker_restarts += 1
 
     # ------------------------------------------------------------------
     # handlers
@@ -466,7 +457,6 @@ class RoutingServer:
             board_format,
             budget,
             include_routes,
-            self.config.event_capacity,
         )
         task = self._spawn(
             self._execute_job(
@@ -743,7 +733,13 @@ class RoutingServer:
                 },
                 "jobs": self.jobs.counts(),
                 "sessions": self.sessions.names(),
-                "counters": dict(self.profile.counters),
+                "counters": {
+                    "serve_accepts": self.jobs.created,
+                    "serve_admits": self.admission.admitted,
+                    "serve_rejects": self.admission.rejected,
+                    "serve_evicts": self.sessions.evicted,
+                    "serve_worker_restarts": self.worker_restarts,
+                },
             },
         )
 
@@ -826,16 +822,17 @@ def run_server(config: ServeConfig, sink: Optional[EventSink] = None) -> int:
     import signal
 
     async def main() -> None:
-        server = RoutingServer(config, sink=sink)
-        host, port = await server.start()
-        print(f"grr serve: listening on http://{host}:{port}", flush=True)
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
+        # Before the banner: a supervisor may signal as soon as it reads it.
         for signum in (signal.SIGINT, signal.SIGTERM):
             try:
                 loop.add_signal_handler(signum, stop.set)
             except NotImplementedError:  # non-Unix event loops
                 pass
+        server = RoutingServer(config, sink=sink)
+        host, port = await server.start()
+        print(f"grr serve: listening on http://{host}:{port}", flush=True)
         await stop.wait()
         print("grr serve: shutting down", flush=True)
         await server.shutdown()

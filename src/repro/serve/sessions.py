@@ -57,6 +57,8 @@ class SessionManager:
         self.ttl_seconds = ttl_seconds
         self._clock = clock
         self._sessions: Dict[str, ManagedSession] = {}
+        #: Sessions closed for idling past the TTL.
+        self.evicted = 0
 
     def __len__(self) -> int:
         return len(self._sessions)
@@ -124,4 +126,5 @@ class SessionManager:
             if idle >= self.ttl_seconds:
                 self.close(name)
                 evicted.append((name, idle))
+                self.evicted += 1
         return evicted

@@ -27,6 +27,9 @@ from typing import AsyncIterator, Dict, List, Optional, Tuple
 from repro.obs.events import RouteEvent
 from repro.obs.sinks import EventSink
 
+#: Events one job's log keeps before it counts drops instead.
+EVENT_CAPACITY = 100_000
+
 
 class AsyncSink(EventSink):
     """Queue-backed event sink feeding asyncio subscribers (SSE)."""
@@ -34,7 +37,7 @@ class AsyncSink(EventSink):
     def __init__(
         self,
         loop: Optional[asyncio.AbstractEventLoop] = None,
-        capacity: int = 100_000,
+        capacity: int = EVENT_CAPACITY,
     ) -> None:
         self._loop = loop
         self._capacity = capacity

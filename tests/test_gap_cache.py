@@ -443,12 +443,11 @@ class TestFreeSpaceView:
         )
         result = router.route(connections)
         assert result.complete
-        counters = router.profile.counters
-        assert counters.get("gap_cache_hits", 0) > 0
-        assert counters.get("gap_cache_misses", 0) > 0
+        assert result.gap_cache_hits > 0
+        assert result.gap_cache_misses > 0
         hits, built, unused = router.workspace.gap_cache_stats()
         assert (hits, built, unused) == (
-            counters["gap_cache_hits"], counters["gap_cache_misses"], 0
+            result.gap_cache_hits, result.gap_cache_misses, 0
         )
 
 
@@ -477,7 +476,7 @@ def test_parallel_parity_with_cache_enabled():
     board_s, conns_s = _build_problem()
     serial = GreedyRouter(board_s, config)
     serial_result = serial.route(conns_s)
-    assert serial.profile.counters.get("gap_cache_hits", 0) > 0
+    assert serial_result.gap_cache_hits > 0
 
     def run(_):
         board, connections = _build_problem()

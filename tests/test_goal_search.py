@@ -190,19 +190,18 @@ class TestRouterGoalMode:
         router, result = _tna_route()
         assert result.complete
         assert result.lee_expansions > 0
-        counters = router.profile.counters
-        assert counters.get("gap_cache_misses", 0) > 0
-        assert not set(counters) & {
+        assert result.gap_cache_misses > 0
+        counts = {f.name for f in dataclasses.fields(result)}
+        assert not counts & {
             "lb_hits", "lb_rebuilds", "lb_prunes", "heap_stale",
         }
 
     def test_classic_router_never_touches_bounds(self, board):
         conn = make_connection(board, ViaPoint(2, 2), ViaPoint(13, 9))
         router = GreedyRouter(board, RouterConfig())
-        router.route([conn])
-        counters = router.profile.counters
-        assert counters.get("lb_hits", 0) == 0
-        assert counters.get("lb_rebuilds", 0) == 0
+        result = router.route([conn])
+        counts = {f.name for f in dataclasses.fields(result)}
+        assert not counts & {"lb_hits", "lb_rebuilds"}
         assert router.workspace.bounds_stats() == (0, 0)
 
     def test_bounds_stats_event_emitted(self):

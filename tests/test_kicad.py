@@ -7,6 +7,7 @@ fine-pitch SMD footprint that exercises pad dispersion.
 """
 
 import os
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.board.parts import PinRole
 from repro.core.router import make_router
 from repro.io import kicad
 from repro.io.kicad import KicadFormatError, is_power_net_name
+from repro.io.registry import InputError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 CHARLIE = os.path.join(FIXTURES, "charlie_th.kicad_pcb")
@@ -212,3 +214,100 @@ class TestSynthWriter:
         assert [tuple(p.position) for p in imp.board.pins] == [
             tuple(p.position) for p in board.pins
         ]
+
+
+@pytest.fixture(scope="module")
+def charlie_texts():
+    """(original, routed export) of the charlie fixture."""
+    with open(CHARLIE, encoding="utf-8") as stream:
+        original = stream.read()
+    imp = kicad.import_board(original, path=CHARLIE)
+    return original, kicad.export_document(imp, _route(imp).workspace)
+
+
+def _grr_line(text, kind):
+    """The first exported ``segment``/``via`` line, newline included."""
+    return next(
+        line
+        for line in text.splitlines(keepends=True)
+        if line.lstrip().startswith(f"({kind} ") and "grr-c" in line
+    )
+
+
+def _double(text, kind):
+    line = _grr_line(text, kind)
+    return text.replace(line, line + line, 1)
+
+
+def _edit(text, kind, pattern, replacement):
+    """Rewrite the first exported ``kind`` line with one regex edit."""
+    line = _grr_line(text, kind)
+    edited = re.sub(pattern, replacement, line, count=1)
+    assert edited != line
+    return text.replace(line, edited, 1)
+
+
+def _move_segment(text):
+    """Shift the first exported segment to x = 9000 mm, length kept."""
+    line = _grr_line(text, "segment")
+    x0 = float(re.search(r"\(start (\S+) ", line).group(1))
+    x1 = float(re.search(r"\(end (\S+) ", line).group(1))
+    text = _edit(text, "segment", r"\(start \S+ ", "(start 9000 ")
+    return _edit(text, "segment", r"\(end \S+ ", f"(end {9000 + x1 - x0} ")
+
+
+def _pad_at(text, at):
+    pad = "thru_hole circle (at 0 0)"
+    assert pad in text
+    return text.replace(pad, f"thru_hole circle {at}", 1)
+
+
+#: Edits of the original fixture or its routed export that must be
+#: refused with an InputError.
+MALFORMED = {
+    "doubled_via": lambda original, routed: _double(routed, "via"),
+    "doubled_segment": lambda original, routed: _double(routed, "segment"),
+    "segment_at_9000mm": lambda original, routed: _move_segment(routed),
+    "start_not_a_number": lambda original, routed: _edit(
+        routed, "segment", r"\(start \S+ ", "(start abc "
+    ),
+    "via_at_without_operands": lambda original, routed: _edit(
+        routed, "via", r"\(at [^()]*\)", "(at)"
+    ),
+    "pad_at_not_numbers": lambda original, routed: _pad_at(
+        original, "(at x y)"
+    ),
+    "pad_at_without_operands": lambda original, routed: _pad_at(
+        original, "(at)"
+    ),
+}
+
+
+class TestMalformedInput:
+    """Broken documents are refused with an InputError (HTTP 400 on
+    ``/route``, exit 2 from ``grr route``), never another exception."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_import_raises_input_error(self, charlie_texts, case):
+        text = MALFORMED[case](*charlie_texts)
+        assert text not in charlie_texts
+        with pytest.raises(InputError):
+            kicad.import_board(text, path=CHARLIE)
+
+    def test_doubled_via_route_answers_400(self, charlie_texts):
+        from tests.test_serve import _post, _serving
+
+        text = MALFORMED["doubled_via"](*charlie_texts)
+        with _serving() as port:
+            status, payload = _post(
+                port, "/route", {"board": text, "format": "kicad"}
+            )
+        assert status == 400, payload
+
+    def test_doubled_via_cli_exits_2(self, charlie_texts, tmp_path, capsys):
+        from repro.cli import main
+
+        board = tmp_path / "doubled.kicad_pcb"
+        board.write_text(MALFORMED["doubled_via"](*charlie_texts))
+        assert main(["route", str(board), str(tmp_path / "out.kicad_pcb")]) == 2
+        assert "KicadFormatError" in capsys.readouterr().err

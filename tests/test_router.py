@@ -4,6 +4,7 @@ import pytest
 
 from repro.board.board import Board
 from repro.core import router as router_module
+from repro.core.budget import FAIL_TRUNCATED
 from repro.core.lee import LeeSearchResult
 from repro.core.result import RoutingResult, Strategy
 from repro.core.router import GreedyRouter, RouterConfig
@@ -242,11 +243,30 @@ class TestCapTruncatedRipup:
         assert retry_caps == [
             router.config.budget.max_gaps * router_module.CAP_RETRY_FACTOR
         ]
-        assert router.profile.counters["cap_retries"] == 1
+        assert result.cap_retries == 1
         # The victim was never ripped: still routed, no rip-up recorded.
         assert ws.is_routed(7)
         assert result.rip_up_count == 0
         assert result.putback_count == 0
+
+    def test_still_truncated_failure_is_reported_truncated(
+        self, board, monkeypatch
+    ):
+        """A connection left unrouted by a search still truncated at the
+        raised cap fails as ``"truncated"``: its blockage is unproven."""
+        conn = make_connection(board, ViaPoint(2, 2), ViaPoint(12, 9))
+        router = GreedyRouter(board)
+        truncated = self._truncated(ViaPoint(5, 4))
+        monkeypatch.setattr(
+            router, "_try_strategies", lambda *a, **k: (None, None, truncated)
+        )
+        monkeypatch.setattr(
+            router_module, "lee_route", lambda ws_, conn_, **kw: truncated
+        )
+        result = router.route([conn])
+        assert result.failed == [conn.conn_id]
+        assert result.failure_reasons == {conn.conn_id: FAIL_TRUNCATED}
+        assert result.cap_retries == result.passes
 
     def test_clean_block_after_retry_allows_ripup(self, board, monkeypatch):
         conn = make_connection(board, ViaPoint(2, 2), ViaPoint(12, 9))
@@ -300,4 +320,4 @@ class TestCapTruncatedRipup:
         result = RoutingResult(workspace=ws, connections=[conn])
         assert router._route_connection(conn, result)
         assert result.routed_by[conn.conn_id] is Strategy.LEE
-        assert router.profile.counters["cap_retries"] == 1
+        assert result.cap_retries == 1

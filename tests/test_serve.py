@@ -668,7 +668,72 @@ class TestHttpEndpoints:
                 if not server.sessions.names():
                     break
             assert server.sessions.names() == []
-            assert server.profile.counters["serve_evicts"] == 1
+            assert server.sessions.evicted == 1
+
+        self._run(scenario, config)
+
+    def test_healthz_counters_count_every_decision(self):
+        """Admitted, queued, rejected and evicted jobs each show up once
+        in ``/healthz``'s counters, which agree with its admission
+        block."""
+        board_text, conn_text, _, _ = _board_texts()
+        config = ServeConfig(
+            port=0,
+            max_concurrent=1,
+            max_queue_depth=1,
+            session_ttl_seconds=0.5,
+            evict_interval_seconds=0.05,
+        )
+        route_body = _route_body(board_text, conn_text, wait=False)
+
+        async def scenario(server, host, port):
+            status, _ = await _call(
+                host, port, "POST", "/eco/begin",
+                {"session": "s", "board": board_text,
+                 "connections": conn_text},
+            )
+            assert status == 200
+            # Hold the session so its reroute, once admitted, keeps the
+            # only slot while the next two requests arrive.
+            managed = server.sessions.get("s")
+            await managed.lock.acquire()
+            status, reroute = await _call(
+                host, port, "POST", "/eco/reroute",
+                {"session": "s", "wait": False},
+            )
+            assert status == 202
+            status, queued = await _call(host, port, "POST", "/route", route_body)
+            assert status == 202
+            status, _ = await _call(host, port, "POST", "/route", route_body)
+            assert status == 429
+            status, health = await _call(host, port, "GET", "/healthz")
+            assert (health["admission"]["running"],
+                    health["admission"]["queued"]) == (1, 1)
+            managed.lock.release()
+            for job in (reroute, queued):
+                for _ in range(600):
+                    _, state = await _call(
+                        host, port, "GET", f"/jobs/{job['job']}"
+                    )
+                    if state["state"] in ("done", "failed"):
+                        break
+                    await asyncio.sleep(0.05)
+                assert state["state"] == "done", state
+            for _ in range(100):
+                if not server.sessions.names():
+                    break
+                await asyncio.sleep(0.05)
+            status, health = await _call(host, port, "GET", "/healthz")
+            counters, admission = health["counters"], health["admission"]
+            assert counters == {
+                "serve_accepts": 4,  # every POST above that made a job
+                "serve_admits": 3,  # begin, reroute, the queued route
+                "serve_rejects": 1,
+                "serve_evicts": 1,
+                "serve_worker_restarts": 0,
+            }
+            assert counters["serve_admits"] == admission["admitted"]
+            assert counters["serve_rejects"] == admission["rejected"]
 
         self._run(scenario, config)
 
@@ -975,20 +1040,61 @@ class TestWarmPoolShutdown:
         assert set(threading.enumerate()) <= before
 
 
-def _start_grr_serve(**popen_kwargs):
-    """``grr serve --port 0`` as a process, stdout piped."""
+def _src_env():
+    """The environment with this checkout's ``src`` on PYTHONPATH."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _start_grr_serve(**popen_kwargs):
+    """``grr serve --port 0`` as a process, stdout piped."""
     return subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
         stdout=subprocess.PIPE,
         text=True,
-        env=env,
+        env=_src_env(),
         **popen_kwargs,
     )
+
+
+#: ``grr serve`` whose banner sends SIGTERM to its own process as soon
+#: as it is printed, the way a supervisor that reads it might.
+SIGTERM_ON_BANNER = """
+import builtins, os, signal, sys
+from repro.cli import main
+
+_print = builtins.print
+
+
+def print_then_sigterm(*args, **kwargs):
+    _print(*args, **kwargs)
+    if args and "listening on" in str(args[0]):
+        os.kill(os.getpid(), signal.SIGTERM)
+
+
+builtins.print = print_then_sigterm
+sys.exit(main(["serve", "--port", "0"]))
+"""
+
+
+def test_sigterm_on_the_banner_exits_cleanly():
+    """The signal handlers are installed before the banner is printed,
+    so a SIGTERM sent on reading it shuts the server down cleanly."""
+    proc = subprocess.run(
+        [sys.executable, "-c", SIGTERM_ON_BANNER],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "listening on http://" in proc.stdout
+    assert "shutting down" in proc.stdout
+    assert proc.stderr == ""
 
 
 @pytest.mark.slow

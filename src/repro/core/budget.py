@@ -32,6 +32,7 @@ every few dozen iterations.
 
 from __future__ import annotations
 
+import enum
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -45,19 +46,43 @@ DEFAULT_MAX_LEE_EXPANSIONS = 4000
 DEFAULT_MAX_GAPS = 20000
 DEFAULT_MAX_RIPUP_ROUNDS = 10
 
-#: Reason strings carried by ``RoutingResult.stopped_reason`` and the
-#: per-connection ``failure_reasons`` map.
+#: Reason strings carried by ``RoutingResult.stopped_reason``; the
+#: first two also name the budget scope a ``BudgetExhausted`` event
+#: reports and a :class:`FailureReason`.
 STOP_DEADLINE = "deadline"
 STOP_CONNECTION = "connection_timeout"
 STOP_STALLED = "stalled"
 STOP_MAX_PASSES = "max_passes"
-#: Per-connection failure reason when every strategy and rip-up round was
-#: genuinely exhausted (as opposed to the clock running out first).
-FAIL_BLOCKED = "blocked"
-#: Per-connection failure reason when the Lee search was still cut short
-#: by its gap cap after the raised-cap retry: the blockage is unproven,
-#: so no rip-up was tried for it.
-FAIL_TRUNCATED = "truncated"
+
+
+class FailureReason(str, enum.Enum):
+    """Why one connection was left unrouted: the closed set of
+    ``RoutingResult.failure_reasons`` values.
+
+    A member is its value as a string: ``str()``, ``format()`` and
+    ``json.dumps`` give the bare value, and it compares equal to it.
+    """
+
+    #: Its last Lee search exhausted a wavefront without truncation, and
+    #: rip-up found nothing more to move (or was off or used up).
+    BLOCKED = "blocked"
+    #: Its last Lee search was cut short, so the blockage is unproven:
+    #: by the gap cap even after the raised-cap retry (no rip-up is
+    #: tried on such a search), or by the expansion limit.
+    TRUNCATED = "truncated"
+    #: It was routed at its own last attempt, then ripped up for a later
+    #: connection and not put back, and the pass loop stopped before
+    #: trying it again.
+    DISPLACED = "displaced"
+    #: The whole call ran out of wall clock first.
+    DEADLINE = STOP_DEADLINE
+    #: Its own wall-clock allowance ran out.
+    CONNECTION_TIMEOUT = STOP_CONNECTION
+
+    # Without these, ``str()`` gives ``FailureReason.BLOCKED``, and so
+    # does ``format()`` from Python 3.12 on.
+    __str__ = str.__str__
+    __format__ = str.__format__
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,10 @@ StripSites = Dict[Tuple[int, Box], Set[ViaPoint]]
 LayerViews = List[Dict[int, GapView]]
 
 
+#: The reason of a search that stopped at its expansion limit.
+EXPANSION_LIMIT = "expansion limit"
+
+
 @dataclass
 class LeeSearchResult:
     """Outcome of one bidirectional Lee search."""
@@ -69,6 +73,9 @@ class LeeSearchResult:
     best_points: Tuple[Optional[ViaPoint], Optional[ViaPoint]] = (None, None)
     #: Which side exhausted first ("a", "b" or "" if not blocked).
     exhausted_side: str = ""
+    #: The search stopped at ``max_expansions``: a truncation, like a
+    #: gap-cap hit, not a proven blockage.
+    expansion_limited: bool = False
 
 
 def _strip_axis(orientation: Orientation) -> str:
@@ -218,7 +225,7 @@ def lee_route(
             reason = "wavefront exhausted"
             break
         if expansions >= max_expansions:
-            reason = "expansion limit"
+            reason = EXPANSION_LIMIT
             break
         if (
             budget is not None
@@ -281,8 +288,9 @@ def _finish(
         # A cap-truncated search may have hidden reachable neighbors: the
         # failure is then unproven, and the reason says so.  The suffix
         # is for people reading events and results; the router tells a
-        # truncation from a hard blockage by ``cap_hits``, not by
-        # parsing it.
+        # truncation from a hard blockage by ``cap_hits`` and
+        # ``expansion_limited``, not by parsing it.
+        expansion_limited = reason == EXPANSION_LIMIT
         if stats.cap_hits > 0:
             reason += " (gap cap)"
         if sink.enabled:
@@ -316,6 +324,7 @@ def _finish(
             gaps_examined=stats.examined,
             best_points=best_points,
             exhausted_side=exhausted,
+            expansion_limited=expansion_limited,
         )
     record = _retrace(
         workspace, conn, meet, marks, radius, passable, max_gaps, stats,

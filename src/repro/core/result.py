@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.board.nets import Connection
 from repro.channels.workspace import RoutingWorkspace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.budget import FailureReason
 
 
 class Strategy(enum.Enum):
@@ -55,12 +58,11 @@ class RoutingResult:
     #: §8.4 progress guard fired) or ``"max_passes"``.  None exactly when
     #: the run is complete.
     stopped_reason: Optional[str] = None
-    #: Per-connection failure reasons for :attr:`failed` entries:
-    #: ``"blocked"`` (every strategy exhausted), ``"truncated"`` (the Lee
-    #: search stayed cut short by its gap cap, so the blockage is
-    #: unproven and nothing was ripped up for it), ``"deadline"`` (the
-    #: call ran out of wall clock first) or ``"connection_timeout"``.
-    failure_reasons: Dict[int, str] = field(default_factory=dict)
+    #: Per-connection failure reasons for :attr:`failed` entries, from
+    #: the closed set :class:`~repro.core.budget.FailureReason`:
+    #: ``"blocked"``, ``"truncated"``, ``"displaced"``, ``"deadline"``
+    #: or ``"connection_timeout"``.
+    failure_reasons: Dict[int, FailureReason] = field(default_factory=dict)
 
     @property
     def routed_count(self) -> int:

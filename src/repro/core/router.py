@@ -19,12 +19,11 @@ from repro.board.board import Board
 from repro.board.nets import Connection
 from repro.channels.workspace import RouteRecord, RoutingWorkspace
 from repro.core.budget import (
-    FAIL_BLOCKED,
-    FAIL_TRUNCATED,
     STOP_DEADLINE,
     STOP_MAX_PASSES,
     STOP_STALLED,
     BudgetTracker,
+    FailureReason,
     RouteBudget,
 )
 from repro.core.cost import COST_FUNCTIONS, CostFunction
@@ -222,10 +221,13 @@ class GreedyRouter:
         result.failed = [c.conn_id for c in unrouted]
         if result.failed and result.stopped_reason is None:
             result.stopped_reason = STOP_MAX_PASSES
+        # A failed connection without a reason of its own was routed at
+        # its last attempt and ripped up after it; only a deadline keeps
+        # a connection from being tried at all.
         default_reason = (
-            STOP_DEADLINE
+            FailureReason.DEADLINE
             if result.stopped_reason == STOP_DEADLINE
-            else FAIL_BLOCKED
+            else FailureReason.DISPLACED
         )
         result.failure_reasons = {
             cid: result.failure_reasons.get(cid, default_reason)
@@ -397,6 +399,7 @@ class GreedyRouter:
         routed = False
         attempt = 0
         still_truncated = False
+        search: Optional[LeeSearchResult] = None
         budget = tracker.hot() if tracker is not None else None
         if budget is not None:
             budget.start_connection(conn.conn_id)
@@ -486,9 +489,15 @@ class GreedyRouter:
                 if budget is not None
                 else None
             )
-            result.failure_reasons[conn.conn_id] = scope or (
-                FAIL_TRUNCATED if still_truncated else FAIL_BLOCKED
-            )
+            if scope is not None:
+                reason = FailureReason(scope)
+            elif still_truncated or (
+                search is not None and search.expansion_limited
+            ):
+                reason = FailureReason.TRUNCATED
+            else:
+                reason = FailureReason.BLOCKED
+            result.failure_reasons[conn.conn_id] = reason
             if sink.enabled:
                 sink.emit(ConnectionFailed(conn.conn_id, attempt + 1))
         # Putback (Section 8.3): most ripped-up connections fit back

@@ -95,6 +95,11 @@ class JobRegistry:
     def get(self, job_id: str) -> Optional[Job]:
         return self._jobs.get(job_id)
 
+    def discard(self, job: Job) -> None:
+        """Forget a job that never ran (a rejected request); it still
+        counts in :attr:`created`."""
+        del self._jobs[job.job_id]
+
     def finish(self, job: Job) -> None:
         """Record completion and forget the oldest finished jobs."""
         self._finished.append(job.job_id)

@@ -25,7 +25,8 @@ idle worker, and a worker that dies fails only the job it was running.
 Warm ECO jobs mutate workspaces that live in the server process, so
 they run in a thread pool of the same size.  Each job gets an
 :class:`AsyncSink` feeding SSE subscribers: ECO jobs stream live, a
-``/route`` job's events arrive in one batch when it ends.
+``/route`` job's events arrive in one packed batch when it ends, kept
+packed and decoded only for a subscriber.
 
 The server starts without the routing stack: a worker imports it for
 its first ``/route`` job, and the server process imports it for the
@@ -137,13 +138,14 @@ def _route_job(
     board_format: str,
     budget: RouteBudget,
     include_routes: bool,
-) -> Tuple[Dict, List[Dict[str, object]], int]:
+) -> Tuple[Dict, bytes, int, int]:
     """One ``/route`` job, run in a worker process.
 
-    Returns the response payload, the job's event records (the dicts
-    :class:`AsyncSink` logs) and how many events were dropped past the
-    sink's capacity.  An exception goes back to the server pickled,
-    which every ``repro`` exception survives.
+    Returns the response payload and the job's event log packed by
+    :meth:`AsyncSink.pack`: one pickle of its records, the record count
+    and how many events were dropped past the sink's capacity.  An
+    exception goes back to the server pickled, which every ``repro``
+    exception survives.
     """
     from repro.api import request_from_text, route as api_route
 
@@ -159,7 +161,8 @@ def _route_job(
     payload = _route_payload(
         response, response.result.workspace, include_routes
     )
-    return payload, sink.snapshot(), sink.dropped
+    packed, count, dropped = sink.pack()
+    return payload, packed, count, dropped
 
 
 def _start_worker() -> "ProcessPoolExecutor":
@@ -331,11 +334,9 @@ class RoutingServer:
                         round(exc.retry_after, 3),
                     )
                 )
-            job.state = "failed"
-            job.error = str(exc)
-            job.finished = time.time()
-            job.sink.close()
-            self.jobs.finish(job)
+            # The 429 names no job, so nobody could fetch this one: it
+            # takes no slot of the finished-job history.
+            self.jobs.discard(job)
             raise HttpError(
                 429, str(exc), headers=retry_after_header(exc.retry_after)
             )
@@ -404,8 +405,8 @@ class RoutingServer:
         return task
 
     async def _route_in_worker(self, sink: AsyncSink, args: Tuple) -> Dict:
-        """Run one ``/route`` job in an idle worker and deliver its
-        events to ``sink``.
+        """Run one ``/route`` job in an idle worker and hand its packed
+        event log to ``sink``.
 
         Admission never runs more jobs than there are slots, so an idle
         executor is always there to pop.  A worker that died broke only
@@ -424,14 +425,16 @@ class RoutingServer:
                 pool = _start_worker()
                 future = pool.submit(_route_job, *args)
             try:
-                payload, records, dropped = await asyncio.wrap_future(future)
+                payload, packed, count, dropped = await asyncio.wrap_future(
+                    future
+                )
             except BrokenExecutor:  # the worker died running this job
                 self._discard_worker(pool)
                 pool = None
                 raise
         finally:
             self._idle_workers.append(pool)
-        sink.extend(records, dropped)
+        sink.load_packed(packed, count, dropped)
         return payload
 
     def _discard_worker(self, pool: "ProcessPoolExecutor") -> None:

@@ -15,10 +15,10 @@ import pytest
 
 from repro.board.board import Board
 from repro.core.budget import (
-    FAIL_BLOCKED,
     STOP_CONNECTION,
     STOP_DEADLINE,
     BudgetTracker,
+    FailureReason,
     RouteBudget,
 )
 from repro.core.router import GreedyRouter, RouterConfig, make_router
@@ -205,7 +205,7 @@ class TestDeadlineDegradation:
             assert sink.by_kind("budget_exhausted")
             assert set(result.failure_reasons) == set(result.failed)
             assert all(
-                reason in (STOP_DEADLINE, FAIL_BLOCKED)
+                reason in (STOP_DEADLINE, FailureReason.BLOCKED)
                 for reason in result.failure_reasons.values()
             )
 

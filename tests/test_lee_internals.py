@@ -423,10 +423,12 @@ class TestBackChain:
 class TestGapCapReasonSuffix:
     """The "(gap cap)" reason suffix must be present iff ``cap_hits > 0``.
 
-    ``failure_reasons`` surfaced through ``repro.api`` and serve key on
-    the suffix to tell truncations from proven blockages, so it must
-    track ``cap_hits`` exactly for *every* blocked reason — wavefront
-    exhaustion, the expansion limit, and budget exhaustion alike.
+    The suffix tells a person reading a ``lee_exhausted`` event or a
+    search result that the search was truncated, not proven blocked, so
+    it must track ``cap_hits`` exactly for *every* blocked reason —
+    wavefront exhaustion, the expansion limit, and budget exhaustion
+    alike.  Nothing parses it: the router reads ``cap_hits`` and
+    ``expansion_limited``.
     """
 
     def _conn(self, ws):

@@ -1,14 +1,24 @@
 """Unit tests for the complete routing algorithm (Section 8.4)."""
 
+import json
+
 import pytest
 
 from repro.board.board import Board
 from repro.core import router as router_module
-from repro.core.budget import FAIL_TRUNCATED
+from repro.core.budget import (
+    STOP_CONNECTION,
+    STOP_DEADLINE,
+    FailureReason,
+    RouteBudget,
+)
 from repro.core.lee import LeeSearchResult
 from repro.core.result import RoutingResult, Strategy
-from repro.core.router import GreedyRouter, RouterConfig
+from repro.core.router import GreedyRouter, RouterConfig, make_router
 from repro.grid.coords import GridPoint, ViaPoint
+from repro.obs.sinks import RingBufferSink
+from repro.stringer import Stringer
+from repro.workloads import make_titan_board
 
 from tests.conftest import make_connection
 from tests.helpers import assert_result_valid
@@ -265,7 +275,7 @@ class TestCapTruncatedRipup:
         )
         result = router.route([conn])
         assert result.failed == [conn.conn_id]
-        assert result.failure_reasons == {conn.conn_id: FAIL_TRUNCATED}
+        assert result.failure_reasons == {conn.conn_id: FailureReason.TRUNCATED}
         assert result.cap_retries == result.passes
 
     def test_clean_block_after_retry_allows_ripup(self, board, monkeypatch):
@@ -296,6 +306,34 @@ class TestCapTruncatedRipup:
         # putback restored it afterwards).
         assert result.putback_count >= 1
 
+    def test_expansion_limited_failure_is_truncated_but_rips_up(
+        self, board, monkeypatch
+    ):
+        """A search stopped at the expansion limit leaves the blockage
+        unproven, so the connection fails as ``"truncated"``; rip-up
+        still acts on such a search, as it always has."""
+        conn = make_connection(board, ViaPoint(2, 2), ViaPoint(12, 9))
+        router = GreedyRouter(board)
+        ws = router.workspace
+        self._install_victim(ws, conn_id=7, row_via=4)
+        limited = LeeSearchResult(
+            routed=False,
+            blocked=True,
+            reason="expansion limit",
+            best_points=(ViaPoint(5, 4), ViaPoint(5, 4)),
+            expansion_limited=True,
+        )
+        monkeypatch.setattr(
+            router, "_try_strategies", lambda *a, **k: (None, None, limited)
+        )
+        result = RoutingResult(workspace=ws, connections=[conn])
+        assert not router._route_connection(conn, result)
+        assert result.failure_reasons == {
+            conn.conn_id: FailureReason.TRUNCATED
+        }
+        assert result.cap_retries == 0
+        assert result.putback_count >= 1  # victim selection ran
+
     def test_routed_retry_commits(self, board, monkeypatch):
         conn = make_connection(board, ViaPoint(2, 2), ViaPoint(12, 9))
         router = GreedyRouter(board)
@@ -321,3 +359,79 @@ class TestCapTruncatedRipup:
         assert router._route_connection(conn, result)
         assert result.routed_by[conn.conn_id] is Strategy.LEE
         assert result.cap_retries == 1
+
+
+def _last_outcomes(sink):
+    """Per connection: how its routing last ended (``"routed"``,
+    ``"failed"`` or ``"displaced"``), and its last Lee exhaustion
+    reason."""
+    outcome, lee = {}, {}
+    for event in sink:
+        if event.kind in ("routed", "failed"):
+            outcome[event.conn_id] = event.kind
+        elif event.kind == "putback":
+            outcome[event.conn_id] = (
+                "routed" if event.restored else "displaced"
+            )
+        elif event.kind == "lee_exhausted":
+            lee[event.conn_id] = event.reason
+    return outcome, lee
+
+
+class TestFailureReasons:
+    """Every unrouted connection says why, from the closed set
+    :class:`FailureReason`, and the reason agrees with its events."""
+
+    def test_members_read_as_their_values(self):
+        for reason in FailureReason:
+            assert str(reason) == f"{reason}" == reason.value
+            assert json.dumps({"r": reason}) == f'{{"r": "{reason.value}"}}'
+        assert FailureReason.DEADLINE == STOP_DEADLINE
+        assert FailureReason.CONNECTION_TIMEOUT == STOP_CONNECTION
+        assert {r.value for r in FailureReason} == {
+            "blocked", "truncated", "displaced", "deadline",
+            "connection_timeout",
+        }
+
+    @pytest.mark.parametrize(
+        "budget,max_passes,expected",
+        [
+            # A kdj11_hard board: each connection it leaves unrouted was
+            # routed at its own last attempt, then ripped up for a later
+            # connection in the final pass and never tried again.
+            (RouteBudget(), 24, {FailureReason.DISPLACED}),
+            # Lee searches that stop at the expansion limit.
+            (
+                RouteBudget(max_lee_expansions=1),
+                1,
+                {FailureReason.DISPLACED, FailureReason.TRUNCATED},
+            ),
+        ],
+        ids=["kdj11_hard", "expansion_limit"],
+    )
+    def test_reasons_agree_with_the_event_history(
+        self, budget, max_passes, expected
+    ):
+        board = make_titan_board("kdj11_2l", scale=0.30, seed=2)
+        sink = RingBufferSink(capacity=10**6)
+        config = RouterConfig(budget=budget, max_passes=max_passes)
+        result = make_router(board, config, sink=sink).route(
+            Stringer(board).string_all()
+        )
+        assert len(sink) < 10**6  # nothing fell out of the ring
+        outcome, lee = _last_outcomes(sink)
+        assert set(result.failure_reasons) == set(result.failed)
+        for conn_id, reason in result.failure_reasons.items():
+            assert isinstance(reason, FailureReason)
+            if outcome[conn_id] == "displaced":
+                assert reason is FailureReason.DISPLACED, conn_id
+                continue
+            assert outcome[conn_id] == "failed"
+            last_search = lee[conn_id]
+            unproven = last_search.startswith("expansion limit") or (
+                last_search.endswith(" (gap cap)")
+            )
+            assert reason is (
+                FailureReason.TRUNCATED if unproven else FailureReason.BLOCKED
+            ), (conn_id, last_search)
+        assert set(result.failure_reasons.values()) == expected

@@ -128,13 +128,25 @@ def _post(port, path, body):
         conn.close()
 
 
-def _sse_kinds(body_bytes):
-    """Event kinds from an SSE body, excluding the terminal frame."""
-    kinds = []
-    for line in body_bytes.decode().splitlines():
-        if line.startswith("data: "):
-            kinds.append(json.loads(line[6:]).get("event"))
-    return [k for k in kinds if k is not None]
+def _sse_frames(body_bytes):
+    """The frames of an SSE body as ``(id, event name, data)``; the id
+    and name are None in a frame that has none."""
+    frames = []
+    for block in body_bytes.decode().split("\n\n"):
+        if block:
+            fields = dict(line.split(": ", 1) for line in block.split("\n"))
+            frames.append(
+                (fields.get("id"), fields.get("event"), json.loads(fields["data"]))
+            )
+    return frames
+
+
+#: Event fields that hold wall-clock readings, which differ run to run.
+TIMING_FIELDS = ("elapsed", "remaining", "seconds")
+
+
+def _masked(record):
+    return {k: None if k in TIMING_FIELDS else v for k, v in record.items()}
 
 
 class TestAsyncSink:
@@ -166,18 +178,30 @@ class TestAsyncSink:
         assert sink.dropped == 4
 
     def test_extend_is_bounded_and_keeps_the_producers_drops(self):
-        """A worker's records arrive in one batch under the same bound,
-        and the drops the worker already counted carry over."""
+        """A worker's log arrives packed in one batch under the same
+        bound, and the drops the worker counted carry over."""
 
         async def main():
+            worker = AsyncSink(capacity=5)
+            for i in range(8):
+                worker.emit(PassStart(i, 0))
+            packed, count, dropped = worker.pack()
+            assert isinstance(packed, bytes)
+            assert (count, dropped) == (5, 3)
             sink = AsyncSink(asyncio.get_running_loop(), capacity=5)
-            sink.emit(PassStart(0, 0))
-            sink.extend([PassStart(i, 0).to_dict() for i in (1, 2)], 3)
-            sink.extend([PassStart(i, 0).to_dict() for i in (3, 4, 5)])
+            sink.load_packed(packed, count, dropped)
             sink.close()
+            assert (len(sink), sink.dropped) == (5, 3)
             got = [r["index"] async for _, r in sink.subscribe()]
             assert got == [0, 1, 2, 3, 4]
-            assert sink.dropped == 3 + 1
+            got = [(i, r["index"]) async for i, r in sink.subscribe(start=3)]
+            assert got == [(3, 3), (4, 4)]
+            # A batch that arrives after close is dropped whole, like a
+            # straggling emit.
+            late = AsyncSink()
+            late.close()
+            late.load_packed(packed, count, dropped)
+            assert (len(late), late.dropped) == (0, 8)
 
         asyncio.run(main())
 
@@ -367,6 +391,10 @@ class TestHttpEndpoints:
         self._run(scenario)
 
     def test_sse_stream_matches_a_jsonl_trace(self):
+        """A ``/route`` job's stream is the JsonlSink trace of the same
+        route, record for record once wall-clock fields are masked: for
+        a reader waiting before the worker's batch arrives, and from the
+        start, the middle and past the end after the job ended."""
         board_text, conn_text, _, _ = _board_texts()
         # The reference: the identical route traced through JsonlSink.
         buf = io.StringIO()
@@ -381,23 +409,51 @@ class TestHttpEndpoints:
         )
         sink.close()
         expected = [
-            json.loads(line)["event"] for line in buf.getvalue().splitlines()
+            _masked(json.loads(line)) for line in buf.getvalue().splitlines()
         ]
+        body = {"board": board_text, "connections": conn_text}
+        config = ServeConfig(port=0, max_concurrent=1, max_queue_depth=1)
+
+        def check(frames, start, job_id):
+            *records, end = frames
+            assert [(int(i), name, _masked(r)) for i, name, r in records] == [
+                (i, None, record) for i, record in enumerate(expected)
+            ][start:]
+            assert end == (
+                None, "end", {"job": job_id, "state": "done", "error": None}
+            )
 
         async def scenario(server, host, port):
-            status, payload = await _call(
-                host, port, "POST", "/route",
-                {"board": board_text, "connections": conn_text},
+            # Pin the only slot: the job waits in the queue, so its
+            # stream is open before the worker has routed anything.
+            assert server.admission.reserve() is None
+            status, queued = await _call(
+                host, port, "POST", "/route", {**body, "wait": False}
             )
-            assert status == 200
-            job_id = payload["job"]
-            status, _, body = await _raw(
-                host, port, "GET", f"/jobs/{job_id}/events"
+            assert status == 202
+            job_id = queued["job"]
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                f"GET /jobs/{job_id}/events HTTP/1.1\r\nHost: t\r\n\r\n"
+                .encode()
             )
-            assert status == 200
-            assert _sse_kinds(body) == expected
+            await writer.drain()
+            head = await reader.readuntil(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200 ")
+            assert len(server.jobs.get(job_id).sink) == 0
+            server.admission.release()
+            waited = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            check(_sse_frames(waited), 0, job_id)
+            for start in (0, len(expected) // 2, len(expected) + 5):
+                status, _, raw = await _raw(
+                    host, port, "GET", f"/jobs/{job_id}/events?from={start}"
+                )
+                assert status == 200
+                check(_sse_frames(raw), start, job_id)
 
-        self._run(scenario)
+        self._run(scenario, config)
 
     def test_admission_full_answers_429_with_retry_after(self):
         board_text, conn_text, _, _ = _board_texts()
@@ -424,6 +480,34 @@ class TestHttpEndpoints:
             status, health = await _call(host, port, "GET", "/healthz")
             assert health["counters"]["serve_rejects"] == 1
             assert health["admission"]["rejected"] == 1
+
+        self._run(scenario, config)
+
+    def test_a_429_does_not_evict_a_fetchable_job(self, monkeypatch):
+        """A rejected request names no job, so it takes no slot of the
+        finished-job history; it still counts as accepted and rejected."""
+        monkeypatch.setattr("repro.serve.jobs.MAX_JOBS_RETAINED", 3)
+        board_text, conn_text, _, _ = _board_texts()
+        body = {"board": board_text, "connections": conn_text}
+        config = ServeConfig(port=0, max_concurrent=1, max_queue_depth=0)
+
+        async def scenario(server, host, port):
+            status, payload = await _call(host, port, "POST", "/route", body)
+            assert status == 200
+            job_id = payload["job"]
+            assert server.admission.reserve() is None
+            for _ in range(4):
+                status, _ = await _call(host, port, "POST", "/route", body)
+                assert status == 429
+            server.admission.release()
+            status, again = await _call(host, port, "GET", f"/jobs/{job_id}")
+            assert status == 200, again
+            assert again["result"] == payload["result"]
+            status, health = await _call(host, port, "GET", "/healthz")
+            assert health["counters"]["serve_accepts"] == 5
+            assert health["counters"]["serve_rejects"] == 4
+            assert health["jobs"]["done"] == 1
+            assert health["jobs"]["failed"] == 0
 
         self._run(scenario, config)
 
@@ -791,6 +875,32 @@ class TestRouteWorkers:
             for status, payload in replies:
                 assert status == 200, payload
                 assert payload["result"]["routes"] == expected.getvalue()
+
+        self._run(scenario)
+
+    def test_finished_jobs_keep_one_packed_log(self):
+        """Each finished ``/route`` job keeps its event log as the one
+        ``bytes`` object its worker sent, with no per-event dicts, also
+        after a reader has decoded it."""
+        board_text, conn_text, _, _ = _board_texts()
+        body = _route_body(board_text, conn_text)
+
+        async def scenario(server, host, port):
+            replies = await asyncio.gather(
+                *(_call(host, port, "POST", "/route", body) for _ in range(4))
+            )
+            for status, payload in replies:
+                assert status == 200, payload
+                job_id = payload["job"]
+                status, _, raw = await _raw(
+                    host, port, "GET", f"/jobs/{job_id}/events"
+                )
+                assert status == 200
+                sink = server.jobs.get(job_id).sink
+                assert isinstance(sink._packed, bytes)
+                assert sink._events == []
+                assert len(sink) == payload["events"] > 0
+                assert len(_sse_frames(raw)) == payload["events"] + 1
 
         self._run(scenario)
 

@@ -21,8 +21,9 @@ and :func:`route` are the surface that stays put.
 ``route()`` never raises on exhaustion: a request whose budget runs out
 returns a *partial* response — everything routed so far stays installed,
 ``stopped_reason`` says why the run ended early, and
-``result.failure_reasons`` says per connection whether it was genuinely
-blocked or merely out of clock.
+``result.failure_reasons`` says per connection why it is unrouted, from
+the closed set :class:`~repro.core.budget.FailureReason` (blocked,
+truncated, displaced, or out of clock).
 """
 
 from __future__ import annotations

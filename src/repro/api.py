@@ -122,13 +122,19 @@ class RouteRequest:
             connections_path=connections_path,
             pitch_mm=pitch_mm,
         )
+        return cls._from_loaded(
+            loaded, budget=budget, config=config, sink=sink
+        )
+
+    @classmethod
+    def _from_loaded(cls, loaded: LoadedBoard, **settings) -> "RouteRequest":
+        """The request that routes what ``loaded`` left pending, in the
+        workspace it arrived with."""
         return cls(
             board=loaded.board,
             connections=loaded.pending,
-            budget=budget,
-            config=config,
-            sink=sink,
             workspace=loaded.workspace,
+            **settings,
         )
 
 
@@ -237,16 +243,9 @@ def request_from_text(
     native line-based format.  Omitting ``connections_text`` strings
     the board's nets.
     """
-    loaded = load_board_text(
-        board_text, connections_text, format=format
-    )
-    return RouteRequest(
-        board=loaded.board,
-        connections=loaded.pending,
-        budget=budget,
-        config=config,
-        sink=sink,
-        workspace=loaded.workspace,
+    loaded = load_board_text(board_text, connections_text, format=format)
+    return RouteRequest._from_loaded(
+        loaded, budget=budget, config=config, sink=sink
     )
 
 

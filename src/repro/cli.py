@@ -54,31 +54,17 @@ def _cmd_string(args: argparse.Namespace) -> int:
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from repro.analysis import format_table, table1_row
     from repro.api import RouteRequest, route
-    from repro.core.budget import STOP_DEADLINE
-    from repro.core.router import RouterConfig
     from repro.io import save_routes
     from repro.obs import JsonlSink
 
-    loaded, routes_out = _load_route_inputs(args)
+    loaded, routes_out = _load_inputs(
+        args, "connections", "routes", reads_routes=False, kicad_out="routed"
+    )
     board = loaded.board
     connections = list(loaded.pending)
-    config = RouterConfig(radius=args.radius, cost=args.cost)
-    if args.timeout is not None or args.per_connection_timeout is not None:
-        config = dataclasses.replace(
-            config,
-            budget=dataclasses.replace(
-                config.budget,
-                deadline_seconds=args.timeout,
-                per_connection_seconds=args.per_connection_timeout,
-            ),
-        )
-    if args.audit:
-        # --audit forces it on; otherwise the GRR_AUDIT env default holds.
-        config = dataclasses.replace(config, audit=True)
+    config = _router_config(args)
     sink = JsonlSink(args.trace) if args.trace else None
     if loaded.restored:
         print(
@@ -107,66 +93,111 @@ def _cmd_route(args: argparse.Namespace) -> int:
         _print_profile(response)
     save_routes(result.workspace, routes_out, source=loaded.source)
     print(format_table([table1_row(board, connections, result)]))
-    if not result.complete:
-        reason = (
-            f" ({result.stopped_reason})" if result.stopped_reason else ""
-        )
-        print(
-            f"FAILED: {len(result.failed)} connections unrouted{reason}",
-            file=sys.stderr,
-        )
-        # A deadline-limited partial is a *successful degradation*, not
-        # a routing failure; give it its own exit code so callers can
-        # tell "board too hard" (1) from "clock ran out" (3).
-        if result.stopped_reason == STOP_DEADLINE:
-            print(
-                f"partial result kept: {result.routed_count}/"
-                f"{result.total_count} connections routed",
-                file=sys.stderr,
-            )
-            return 3
-        return 1
-    print(f"wrote {routes_out}")
-    return 0
+    return _exit_status(
+        len(result.failed),
+        result.total_count,
+        result.stopped_reason,
+        routes_out,
+    )
 
 
-def _load_route_inputs(args: argparse.Namespace):
-    """Resolve ``grr route``'s positionals for both formats.
+def _load_inputs(
+    args: argparse.Namespace,
+    *files: str,
+    reads_routes: bool = True,
+    kicad_out: Optional[str] = None,
+):
+    """Resolve the positionals of ``grr route``, ``eco``, ``verify`` and
+    ``render`` for both formats and load them.
 
-    Native text keeps the classic three-file shape: ``route BOARD
-    CONNECTIONS ROUTES``.  A kicad board embeds its netlist, so the one
-    optional positional after it is the *output* document: ``route
-    BOARD.kicad_pcb [OUT.kicad_pcb]``, defaulting to
-    ``BOARD.routed.kicad_pcb``.  Returns ``(loaded, routes_out_path)``.
+    ``files`` names the positionals after BOARD, in order.  A native
+    board needs them all: the connection file, then the route dump to
+    restore when the command ``reads_routes``, then the output when it
+    writes one.  A ``.kicad_pcb`` embeds its netlist and routes, so the
+    one positional after it is the optional output document of a
+    command that writes one (``kicad_out``), defaulting to
+    ``BOARD.<kicad_out>.kicad_pcb``.  Returns ``(loaded, output_path)``.
     """
     import os
 
     from repro.io import FORMAT_KICAD, detect_format, load_board
 
-    fmt = detect_format(args.board, args.format)
-    if fmt == FORMAT_KICAD:
-        if args.routes is not None:
+    # Only grr route takes --format and --pitch-mm.
+    fmt = getattr(args, "format", "auto")
+    pitch_mm = getattr(args, "pitch_mm", None)
+    values = [getattr(args, name) for name in files]
+    if detect_format(args.board, fmt) == FORMAT_KICAD:
+        out = values.pop(0) if kicad_out else None
+        if any(value is not None for value in values):
+            usage = " [OUT.kicad_pcb]" if kicad_out else ""
             raise SystemExit(
-                "kicad boards embed their netlist: usage is "
-                "'grr route BOARD.kicad_pcb [OUT.kicad_pcb]'"
+                "kicad boards embed their netlist and routes: usage is "
+                f"'grr {args.command} BOARD.kicad_pcb{usage}'"
             )
-        loaded = load_board(
-            args.board, format=args.format, pitch_mm=args.pitch_mm
-        )
-        routes_out = args.connections
-        if routes_out is None:
+        if kicad_out and out is None:
             stem = os.path.splitext(args.board)[0]
-            routes_out = f"{stem}.routed.kicad_pcb"
-        return loaded, routes_out
-    if args.connections is None or args.routes is None:
+            out = f"{stem}.{kicad_out}.kicad_pcb"
+        return load_board(args.board, format=fmt, pitch_mm=pitch_mm), out
+    if None in values:
         raise SystemExit(
             "native boards need explicit files: usage is "
-            "'grr route BOARD CONNECTIONS ROUTES'"
+            f"'grr {args.command} BOARD {' '.join(map(str.upper, files))}'"
         )
+    connections, *rest = values
+    routes = rest.pop(0) if reads_routes else None
     loaded = load_board(
-        args.board, format=args.format, connections_path=args.connections
+        args.board,
+        format=fmt,
+        connections_path=connections,
+        routes_path=routes,
+        pitch_mm=pitch_mm,
     )
-    return loaded, args.routes
+    return loaded, rest[0] if rest else None
+
+
+def _router_config(args: argparse.Namespace):
+    """The :class:`RouterConfig` of the routing options ``grr route``
+    and ``grr eco`` share."""
+    from repro.core.budget import RouteBudget
+    from repro.core.router import RouterConfig
+
+    config = RouterConfig(
+        radius=args.radius,
+        cost=args.cost,
+        budget=RouteBudget(
+            deadline_seconds=args.timeout,
+            per_connection_seconds=args.per_connection_timeout,
+        ),
+    )
+    if args.audit:
+        # --audit forces it on; otherwise the GRR_AUDIT env default holds.
+        config.audit = True
+    return config
+
+
+def _exit_status(
+    failed: int, total: int, stopped_reason: Optional[str], routes_out: str
+) -> int:
+    """Report how a ``grr route`` or ``grr eco`` run ended; returns its
+    exit status."""
+    from repro.core.budget import STOP_DEADLINE
+
+    if not failed:
+        print(f"wrote {routes_out}")
+        return 0
+    reason = f" ({stopped_reason})" if stopped_reason else ""
+    print(f"FAILED: {failed} connections unrouted{reason}", file=sys.stderr)
+    # A deadline-limited partial is a *successful degradation*, not a
+    # routing failure; give it its own exit code so callers can tell
+    # "board too hard" (1) from "clock ran out" (3).
+    if stopped_reason == STOP_DEADLINE:
+        print(
+            f"partial result kept: {total - failed}/{total} connections "
+            "routed",
+            file=sys.stderr,
+        )
+        return 3
+    return 1
 
 
 def _print_profile(response) -> None:
@@ -200,9 +231,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
         render_signal_layer,
     )
 
-    board, connections, workspace, _ = _load_routed_state(args)
+    loaded, _ = _load_inputs(args, "connections", "routes")
+    board, workspace = loaded.board, loaded.workspace
     prefix = args.prefix
-    render_problem(board, connections, path=f"{prefix}_problem.ppm")
+    render_problem(board, loaded.connections, path=f"{prefix}_problem.ppm")
     render_signal_layer(board, workspace, 0, path=f"{prefix}_layer0.ppm")
     outputs = [f"{prefix}_problem.ppm", f"{prefix}_layer0.ppm"]
     if board.power_nets:
@@ -218,10 +250,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.verify import check_connectivity, run_drc
 
-    board, connections, workspace, restored = _load_routed_state(args)
+    loaded, _ = _load_inputs(args, "connections", "routes")
+    board, workspace = loaded.board, loaded.workspace
     drc = run_drc(board, workspace)
-    connectivity = check_connectivity(board, workspace, connections)
-    print(f"routes loaded: {len(restored)}")
+    connectivity = check_connectivity(board, workspace, loaded.connections)
+    print(f"routes loaded: {len(loaded.restored)}")
     print(
         f"DRC: {len(drc.errors)} errors, {len(drc.warnings)} warnings"
     )
@@ -241,41 +274,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ok = drc.clean and connectivity.fully_connected
     print("VERDICT:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
-
-
-def _load_routed_state(args: argparse.Namespace):
-    """Board + connections + routed workspace for render/verify.
-
-    Native text takes the classic three files.  A routed
-    ``.kicad_pcb`` carries all three in one document, so the
-    connections/routes positionals are omitted.
-    """
-    from repro.channels.workspace import RoutingWorkspace
-    from repro.io import FORMAT_KICAD, detect_format, load_board, load_routes
-
-    if detect_format(args.board) == FORMAT_KICAD:
-        if args.connections is not None or args.routes is not None:
-            raise SystemExit(
-                "a .kicad_pcb carries its netlist and routes; usage is "
-                f"'grr {args.command} BOARD.kicad_pcb'"
-            )
-        loaded = load_board(args.board)
-        return (
-            loaded.board,
-            list(loaded.connections),
-            loaded.workspace,
-            list(loaded.restored),
-        )
-    if args.connections is None or args.routes is None:
-        raise SystemExit(
-            f"native boards need explicit files: usage is "
-            f"'grr {args.command} BOARD CONNECTIONS ROUTES'"
-        )
-    loaded = load_board(args.board, connections_path=args.connections)
-    workspace = RoutingWorkspace(loaded.board)
-    with open(args.routes) as f:
-        restored = load_routes(workspace, f)
-    return loaded.board, list(loaded.connections), workspace, restored
 
 
 def _parse_move(spec: str):
@@ -300,46 +298,30 @@ def _parse_pin_group(spec: str) -> List[int]:
         raise SystemExit(
             f"bad --add-net spec {spec!r} (expected PIN,PIN,...)"
         )
-    if len(pins) < 2:
-        raise SystemExit(f"--add-net needs at least two pins: {spec!r}")
     return pins
 
 
 def _cmd_eco(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from repro.core.budget import STOP_DEADLINE, RouteBudget
     from repro.core.result import Strategy
-    from repro.core.router import RouterConfig
     from repro.eco import EcoError, EcoSession
     from repro.io import FormatError, save_board, save_connections, save_routes
     from repro.obs import JsonlSink
 
-    loaded, workspace, restored, routes_out = _load_eco_inputs(args)
-    board = loaded.board
-    connections = list(loaded.connections)
-    config = RouterConfig(radius=args.radius, cost=args.cost)
-    if args.timeout is not None or args.per_connection_timeout is not None:
-        config = dataclasses.replace(
-            config,
-            budget=RouteBudget(
-                deadline_seconds=args.timeout,
-                per_connection_seconds=args.per_connection_timeout,
-            ),
-        )
-    if args.audit:
-        config = dataclasses.replace(config, audit=True)
+    loaded, routes_out = _load_inputs(
+        args, "connections", "routes_in", "routes_out", kicad_out="eco"
+    )
+    config = _router_config(args)
     sink = JsonlSink(args.trace) if args.trace else None
     # Restored routes carry no strategy attribution in the dump format;
     # PUTBACK ("kept as previously routed") is the honest label.
-    routed_by = {conn_id: Strategy.PUTBACK for conn_id in restored}
+    routed_by = {conn_id: Strategy.PUTBACK for conn_id in loaded.restored}
     try:
         with EcoSession(
-            board,
-            connections,
+            loaded.board,
+            loaded.connections,
             config=config,
             sink=sink,
-            workspace=workspace,
+            workspace=loaded.workspace,
             routed_by=routed_by,
         ) as session:
             for net_id in args.cut_net:
@@ -366,7 +348,6 @@ def _cmd_eco(args: argparse.Namespace) -> int:
                     f"{len(stats.added)} connections strung"
                 )
             response = session.reroute()
-            result = response.result
             counters = response.counters
             print(
                 f"eco reroute: {counters.get('eco_invalidated', 0)} "
@@ -392,7 +373,6 @@ def _cmd_eco(args: argparse.Namespace) -> int:
             except FormatError as exc:
                 print(f"output rejected: {exc}", file=sys.stderr)
                 return 2
-            failed = result.failed
             total = len(session.connections)
     except EcoError as exc:
         print(f"ECO rejected: {exc}", file=sys.stderr)
@@ -402,88 +382,26 @@ def _cmd_eco(args: argparse.Namespace) -> int:
             sink.close()
     if sink is not None:
         print(f"trace: {sink.emitted} events -> {args.trace}")
-    if failed:
-        reason = (
-            f" ({response.stopped_reason})" if response.stopped_reason else ""
-        )
-        print(
-            f"FAILED: {len(failed)} connections unrouted{reason}",
-            file=sys.stderr,
-        )
-        if response.stopped_reason == STOP_DEADLINE:
-            print(
-                f"partial result kept: {total - len(failed)}/{total} "
-                f"connections routed",
-                file=sys.stderr,
-            )
-            return 3
-        return 1
-    print(f"wrote {routes_out}")
-    return 0
-
-
-def _load_eco_inputs(args: argparse.Namespace):
-    """Resolve ``grr eco``'s positionals for both formats.
-
-    Native text keeps the classic four-file shape: ``eco BOARD
-    CONNECTIONS ROUTES_IN ROUTES_OUT``.  A kicad board carries its
-    netlist and routed state in one document, so the shape collapses to
-    ``eco BOARD.kicad_pcb [OUT.kicad_pcb]`` (default
-    ``BOARD.eco.kicad_pcb``).  Returns ``(loaded, workspace, restored,
-    routes_out_path)``.
-    """
-    import os
-
-    from repro.channels.workspace import RoutingWorkspace
-    from repro.io import FORMAT_KICAD, detect_format, load_board, load_routes
-
-    if detect_format(args.board) == FORMAT_KICAD:
-        if args.routes_in is not None or args.routes_out is not None:
-            raise SystemExit(
-                "a .kicad_pcb carries its netlist and routes; usage is "
-                "'grr eco BOARD.kicad_pcb [OUT.kicad_pcb]'"
-            )
-        loaded = load_board(args.board)
-        routes_out = args.connections
-        if routes_out is None:
-            stem = os.path.splitext(args.board)[0]
-            routes_out = f"{stem}.eco.kicad_pcb"
-        return loaded, loaded.workspace, list(loaded.restored), routes_out
-    if (
-        args.connections is None
-        or args.routes_in is None
-        or args.routes_out is None
-    ):
-        raise SystemExit(
-            "native boards need explicit files: usage is "
-            "'grr eco BOARD CONNECTIONS ROUTES_IN ROUTES_OUT'"
-        )
-    loaded = load_board(args.board, connections_path=args.connections)
-    workspace = RoutingWorkspace(loaded.board)
-    with open(args.routes_in) as f:
-        restored = load_routes(workspace, f)
-    return loaded, workspace, restored, args.routes_out
+    return _exit_status(
+        len(response.result.failed), total, response.stopped_reason, routes_out
+    )
 
 
 def _cmd_kicad(args: argparse.Namespace) -> int:
-    from repro.io import (
-        kicad,
-        load_board,
-        load_routes,
-        save_board,
-        save_connections,
-        save_route_dump,
-    )
+    from repro.io import load_board, save_board, save_connections, save_routes
 
+    loaded = load_board(
+        args.board,
+        format="kicad",
+        # Only export reads a route dump.
+        routes_path=getattr(args, "routes", None),
+        pitch_mm=args.pitch_mm,
+    )
     if args.action == "inspect":
-        imp = kicad.load_file(args.board, pitch_mm=args.pitch_mm)
-        for key, value in imp.summary().items():
+        for key, value in loaded.source.summary().items():
             print(f"{key}: {value}")
         return 0
     if args.action == "import":
-        loaded = load_board(
-            args.board, format="kicad", pitch_mm=args.pitch_mm
-        )
         save_board(loaded.board, args.out_board)
         save_connections(loaded.connections, args.out_connections)
         print(
@@ -494,21 +412,20 @@ def _cmd_kicad(args: argparse.Namespace) -> int:
         if args.out_routes:
             # Only restored route records survive the native dump; the
             # dispersion traces are re-derived on any later import.
-            with open(args.out_routes, "w") as f:
-                save_route_dump(loaded.workspace, f)
+            save_routes(loaded.workspace, args.out_routes, format="native")
             print(
                 f"wrote {args.out_routes} "
                 f"({len(loaded.restored)} restored routes)"
             )
         return 0
-    # export: write a native route dump back into the original document
-    imp = kicad.load_file(args.board, pitch_mm=args.pitch_mm)
-    with open(args.routes) as f:
-        restored = load_routes(imp.workspace, f)
-    kicad.save_file(imp, args.out, imp.workspace)
+    # export: the route dump, restored beside the document's own routes,
+    # written back into it as copper
+    save_routes(
+        loaded.workspace, args.out, format="kicad", source=loaded.source
+    )
     print(
-        f"wrote {args.out}: {len(restored) + len(imp.restored)} routed "
-        "connections as copper"
+        f"wrote {args.out}: {len(loaded.restored)} routed connections as "
+        "copper"
     )
     return 0
 
@@ -560,65 +477,10 @@ class _TitanConfigNames:
         return iter(sorted(TITAN_CONFIGS))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The grr argument parser (exposed for tests)."""
-    parser = argparse.ArgumentParser(
-        prog="grr",
-        description="greedy printed-circuit-board router (Dion, DAC 1987)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="synthesise a Table-1-style board")
-    p.add_argument("board", help="output board file")
-    config = p.add_argument("--config", default="tna")
-    # Set after add_argument, which reads the choices once to check the
-    # metavar; argparse reads them again only to check a value or print
-    # this command's help.
-    config.choices = _TitanConfigNames()
-    p.add_argument("--scale", type=float, default=0.30)
-    p.add_argument("--seed", type=int, default=1)
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("string", help="net stringing (Section 3)")
-    p.add_argument("board", help="input board file (native or .kicad_pcb)")
-    p.add_argument("connections", help="output connection file")
-    p.add_argument(
-        "--format",
-        default="auto",
-        choices=["auto", "native", "kicad"],
-        help="input board format (default: by extension)",
-    )
-    p.set_defaults(func=_cmd_string)
-
-    p = sub.add_parser("route", help="route a board")
-    p.add_argument(
-        "board", help="input board file (native text or .kicad_pcb)"
-    )
-    p.add_argument(
-        "connections",
-        nargs="?",
-        default=None,
-        help="native: input connection file; kicad: optional output "
-        "document (default BOARD.routed.kicad_pcb)",
-    )
-    p.add_argument(
-        "routes",
-        nargs="?",
-        default=None,
-        help="native: output route dump (unused for kicad input)",
-    )
-    p.add_argument(
-        "--format",
-        default="auto",
-        choices=["auto", "native", "kicad"],
-        help="input board format (default: by extension)",
-    )
-    p.add_argument(
-        "--pitch-mm",
-        type=float,
-        default=None,
-        help="via-grid pitch for kicad import (default 2.54)",
-    )
+def _routing_options() -> argparse.ArgumentParser:
+    """The options ``grr route`` and ``grr eco`` share, as a parent
+    parser (read by :func:`_router_config`)."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--radius", type=int, default=1)
     p.add_argument(
         "--cost",
@@ -658,6 +520,74 @@ def build_parser() -> argparse.ArgumentParser:
         help="print per-phase timings and event counters "
         "(gap lists reused/built, search cap hits)",
     )
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The grr argument parser (exposed for tests)."""
+    parser = argparse.ArgumentParser(
+        prog="grr",
+        description="greedy printed-circuit-board router (Dion, DAC 1987)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("generate", help="synthesise a Table-1-style board")
+    p.add_argument("board", help="output board file")
+    config = p.add_argument("--config", default="tna")
+    # Set after add_argument, which reads the choices once to check the
+    # metavar; argparse reads them again only to check a value or print
+    # this command's help.
+    config.choices = _TitanConfigNames()
+    p.add_argument("--scale", type=float, default=0.30)
+    p.add_argument("--seed", type=int, default=1)
+    p.set_defaults(func=_cmd_generate)
+
+    p = sub.add_parser("string", help="net stringing (Section 3)")
+    p.add_argument("board", help="input board file (native or .kicad_pcb)")
+    p.add_argument("connections", help="output connection file")
+    p.add_argument(
+        "--format",
+        default="auto",
+        choices=["auto", "native", "kicad"],
+        help="input board format (default: by extension)",
+    )
+    p.set_defaults(func=_cmd_string)
+
+    # A parent's options lead a command's usage and help, so grr route's
+    # input options come from a parent too, ahead of the routing ones.
+    board_input = argparse.ArgumentParser(add_help=False)
+    board_input.add_argument(
+        "--format",
+        default="auto",
+        choices=["auto", "native", "kicad"],
+        help="input board format (default: by extension)",
+    )
+    board_input.add_argument(
+        "--pitch-mm",
+        type=float,
+        default=None,
+        help="via-grid pitch for kicad import (default 2.54)",
+    )
+    routing = _routing_options()
+    p = sub.add_parser(
+        "route", help="route a board", parents=[board_input, routing]
+    )
+    p.add_argument(
+        "board", help="input board file (native text or .kicad_pcb)"
+    )
+    p.add_argument(
+        "connections",
+        nargs="?",
+        default=None,
+        help="native: input connection file; kicad: optional output "
+        "document (default BOARD.routed.kicad_pcb)",
+    )
+    p.add_argument(
+        "routes",
+        nargs="?",
+        default=None,
+        help="native: output route dump (unused for kicad input)",
+    )
     p.set_defaults(func=_cmd_route)
 
     p = sub.add_parser("render", help="Figure 20/21/22 artifacts")
@@ -677,6 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
         "eco",
         help="apply change orders to a routed board and reroute the "
         "residue incrementally",
+        parents=[routing],
     )
     p.add_argument(
         "board", help="input board file (native text or .kicad_pcb)"
@@ -738,19 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the post-ECO connection list (cuts shrink it, "
         "adds grow it)",
     )
-    p.add_argument("--radius", type=int, default=1)
-    p.add_argument(
-        "--cost",
-        default="distance_hops",
-        choices=["unit", "distance", "distance_hops"],
-    )
-    p.add_argument("--timeout", type=float, metavar="SECS", default=None)
-    p.add_argument(
-        "--per-connection-timeout", type=float, metavar="SECS", default=None
-    )
-    p.add_argument("--trace", metavar="PATH", default=None)
-    p.add_argument("--audit", action="store_true")
-    p.add_argument("--profile", action="store_true")
     p.set_defaults(func=_cmd_eco)
 
     p = sub.add_parser(

@@ -284,16 +284,21 @@ class EcoSession:
         fresh connection ids.  The new connections are pending until
         the next :meth:`reroute`.
 
-        All or nothing: a pin that is unknown, already in a net or named
-        twice in the call, or an ECL group left without a free
-        terminating resistor, raises :class:`EcoError` with the board
-        and the session as they were before the call.
+        All or nothing: a group of fewer than two pins, a pin that is
+        unknown, already in a net or named twice in the call, or an ECL
+        group left without a free terminating resistor, raises
+        :class:`EcoError` with the board and the session as they were
+        before the call.
         """
         self._check_open()
         if self.sink.enabled:
             self.sink.emit(EcoBegin("add_nets", len(pin_groups)))
         named: Set[int] = set()
         for pin_ids in pin_groups:
+            if len(pin_ids) < 2:
+                raise EcoError(
+                    f"a net needs at least two pins, not {list(pin_ids)}"
+                )
             for pin_id in pin_ids:
                 if pin_id in named:
                     raise EcoError(f"pin {pin_id} is named twice")

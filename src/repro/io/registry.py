@@ -1,11 +1,13 @@
 """Format registry: one loading/saving path for every board format.
 
 Callers — the CLI, the service, :mod:`repro.api` — never pick a parser
-themselves.  They hand a path to :func:`load_board` (or text to
-:func:`load_board_text`) and get back a :class:`LoadedBoard` no matter
-whether the file was the native line-based format or a KiCad
-``.kicad_pcb``.  :func:`detect_format` maps extensions to format names,
-with ``format=`` as the explicit override; the writers
+themselves.  They hand paths to :func:`load_board` (or texts to
+:func:`load_board_text`, the one decoder both end in) and get back a
+:class:`LoadedBoard` — the board, its connections and any route dump
+restored — no matter whether the board was the native line-based
+format or a KiCad ``.kicad_pcb``.  :func:`detect_format` maps
+extensions to format names, with ``format=`` as the explicit
+override; the writers
 (:func:`save_board`, :func:`save_connections`, :func:`save_routes`)
 apply the same extension rules so a ``--write-board out.kicad_pcb``
 lands in the format its name promises.  Connection lists read from a
@@ -78,10 +80,11 @@ def check_connections(board: Board, connections: Iterable[Connection]) -> None:
 class LoadedBoard:
     """A board plus everything a format's loader derived from the file.
 
-    ``workspace`` is non-None when the format carries routing state of
-    its own (a ``.kicad_pcb`` pre-seeds dispersion traces and any routes
-    restored from a previous export); ``restored`` lists the connection
-    ids already routed in that workspace.  ``source`` keeps the
+    ``workspace`` is non-None when the input carries routing state: a
+    ``.kicad_pcb`` pre-seeds dispersion traces and any routes a previous
+    export embedded, and a route dump is restored into that workspace
+    (into a fresh one for native text).  ``restored`` lists the
+    connection ids already routed in it.  ``source`` keeps the
     format-specific import object (a
     :class:`repro.io.kicad.KicadImport`) that the matching
     :func:`save_routes` needs to write results back.
@@ -129,105 +132,122 @@ def load_board(
     *,
     format: str = "auto",
     connections_path: Optional[Union[str, os.PathLike]] = None,
+    routes_path: Optional[Union[str, os.PathLike]] = None,
     pitch_mm: Optional[float] = None,
 ) -> LoadedBoard:
-    """Load a board (and its connection list) from any known format.
+    """Load a board, its connection list and a route dump from files.
 
-    Native boards take their connections from ``connections_path`` when
-    given, else from stringing the board's nets.  KiCad boards always
-    derive connections from the document's nets (``connections_path`` is
-    rejected), and arrive with a pre-seeded workspace: dispersion traces
-    for off-grid pads, plus any routes a previous export embedded.
+    The format comes from the board's extension unless ``format``
+    overrides it; the files are read as UTF-8 and decoded by
+    :func:`load_board_text`.  A file that cannot be read (missing, a
+    directory, not UTF-8) raises :class:`InputError` naming it.
     """
     path = os.fspath(path)
     resolved = detect_format(path, format)
-    if resolved == FORMAT_KICAD:
-        if connections_path is not None:
-            raise FormatError(
-                "kicad boards embed their netlist; a separate "
-                "connections file cannot be combined with "
-                f"{os.path.basename(path)}"
-            )
-        from repro.io import kicad
-
-        imp = kicad.load_file(path, pitch_mm=pitch_mm)
-        return LoadedBoard(
-            board=imp.board,
-            connections=tuple(imp.connections),
-            format=FORMAT_KICAD,
-            path=path,
-            workspace=imp.workspace,
-            restored=tuple(imp.restored),
-            source=imp,
-        )
-    from repro.io.netlist import read_board, read_connections
-
-    with open(path, encoding="utf-8") as stream:
-        board = read_board(stream)
-    if connections_path is not None:
-        with open(os.fspath(connections_path), encoding="utf-8") as stream:
-            connections = tuple(read_connections(stream))
-        check_connections(board, connections)
-    else:
-        from repro.stringer import Stringer
-
-        connections = tuple(Stringer(board).string_all())
-    return LoadedBoard(
-        board=board,
-        connections=connections,
-        format=FORMAT_NATIVE,
+    # Refused before any file is read.
+    _check_netlist_source(resolved, connections_path is not None)
+    return load_board_text(
+        _read_text(path),
+        _read_text(connections_path),
+        _read_text(routes_path),
+        format=resolved,
+        pitch_mm=pitch_mm,
         path=path,
     )
+
+
+def _read_text(path: Optional[Union[str, os.PathLike]]) -> Optional[str]:
+    if path is None:
+        return None
+    path = os.fspath(path)
+    try:
+        with open(path, encoding="utf-8") as stream:
+            return stream.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"cannot read {path}: not UTF-8 text (byte {exc.start})"
+        ) from exc
+
+
+def _check_netlist_source(format: str, has_connections: bool) -> None:
+    if format == FORMAT_KICAD and has_connections:
+        raise FormatError(
+            "kicad boards embed their netlist; a separate connection "
+            "list cannot be combined with a .kicad_pcb"
+        )
 
 
 def load_board_text(
     board_text: str,
     connections_text: Optional[str] = None,
+    routes_text: Optional[str] = None,
     *,
     format: str = FORMAT_NATIVE,
     pitch_mm: Optional[float] = None,
+    path: Optional[str] = None,
 ) -> LoadedBoard:
-    """Text-level counterpart of :func:`load_board` (the wire path).
+    """Decode a board, its connection list and a route dump.
 
-    The service boundary ships boards as text; this is the one place
-    that decoding happens, so the wire format and the file format can
-    never drift apart.  ``format`` must be explicit — text has no
-    extension to sniff.
+    The one decoder: :func:`load_board` and the service boundary both
+    end here, so the wire format and the file format can never drift
+    apart.  ``format`` must be explicit (text has no extension to
+    sniff).  Native boards take their connections from
+    ``connections_text``, else from stringing the board's nets; KiCad
+    documents embed their netlist and refuse one.  ``routes_text`` is
+    a route dump restored into the format's own workspace (the KiCad
+    import's, beside its dispersion traces and embedded routes, or a
+    fresh one for native text), and ``restored`` lists every route it
+    then holds.  ``path`` names the file the board came from.
     """
-    if format == "auto":
-        raise FormatError("text input needs an explicit format")
+    if format not in _KNOWN_FORMATS:
+        raise FormatError(
+            f"text input needs an explicit format, one of "
+            f"{', '.join(_KNOWN_FORMATS)}; got {format!r}"
+        )
+    _check_netlist_source(format, connections_text is not None)
+    workspace = source = None
+    restored: Tuple[int, ...] = ()
     if format == FORMAT_KICAD:
-        if connections_text is not None:
-            raise FormatError("kicad boards embed their netlist")
         from repro.io import kicad
 
-        imp = kicad.import_board(board_text, pitch_mm=pitch_mm)
-        return LoadedBoard(
-            board=imp.board,
-            connections=tuple(imp.connections),
-            format=FORMAT_KICAD,
-            workspace=imp.workspace,
-            restored=tuple(imp.restored),
-            source=imp,
+        source = kicad.import_board(
+            board_text, path=path or "<kicad>", pitch_mm=pitch_mm
         )
-    if format != FORMAT_NATIVE:
-        raise FormatError(f"unknown format {format!r}")
-    from repro.io.netlist import read_board, read_connections
-
-    board = read_board(_io.StringIO(board_text))
-    if connections_text is not None:
-        connections = tuple(
-            read_connections(_io.StringIO(connections_text))
-        )
-        check_connections(board, connections)
+        board = source.board
+        connections = tuple(source.connections)
+        workspace = source.workspace
+        restored = tuple(source.restored)
     else:
-        from repro.stringer import Stringer
+        from repro.io.netlist import read_board, read_connections
 
-        connections = tuple(Stringer(board).string_all())
+        board = read_board(_io.StringIO(board_text))
+        if connections_text is not None:
+            connections = tuple(
+                read_connections(_io.StringIO(connections_text))
+            )
+            check_connections(board, connections)
+        else:
+            from repro.stringer import Stringer
+
+            connections = tuple(Stringer(board).string_all())
+    if routes_text is not None:
+        from repro.io.dump import load_routes
+
+        if workspace is None:
+            from repro.channels.workspace import RoutingWorkspace
+
+            workspace = RoutingWorkspace(board)
+        restored += tuple(load_routes(workspace, _io.StringIO(routes_text)))
     return LoadedBoard(
         board=board,
         connections=connections,
-        format=FORMAT_NATIVE,
+        format=format,
+        path=path,
+        workspace=workspace,
+        restored=restored,
+        source=source,
     )
 
 

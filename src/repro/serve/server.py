@@ -79,6 +79,16 @@ def _require_str(body: Dict[str, object], field: str) -> str:
     return value
 
 
+def _flag(body: Dict[str, object], field: str, default: bool) -> bool:
+    """A JSON boolean field: absent or null gives ``default``."""
+    value = body.get(field)
+    if value is None:
+        return default
+    if not isinstance(value, bool):
+        raise HttpError(400, f"{field} must be true or false")
+    return value
+
+
 def _board_format(body: Dict[str, object]) -> str:
     """The wire board format: native text unless the request says kicad."""
     value = body.get("format", "native")
@@ -450,8 +460,8 @@ class RoutingServer:
         board_text = _require_str(body, "board")
         board_format = _board_format(body)
         connections_text = _connections_text(body, board_format)
-        include_routes = bool(body.get("include_routes", False))
-        wait = bool(body.get("wait", True))
+        include_routes = _flag(body, "include_routes", False)
+        wait = _flag(body, "wait", True)
         budget = self.config.budget_for(_optional_timeout(body))
         job, grant = self._accept("/route", "route")
         args = (
@@ -479,42 +489,43 @@ class RoutingServer:
         board_format = _board_format(body)
         connections_text = _connections_text(body, board_format)
         routes_text = body.get("routes")
-        include_routes = bool(body.get("include_routes", False))
+        if routes_text is not None and not isinstance(routes_text, str):
+            raise HttpError(400, "routes must be route dump text")
+        include_routes = _flag(body, "include_routes", False)
         budget = self.config.budget_for(_optional_timeout(body))
         try:
             managed = self.sessions.reserve(name)
         except KeyError:
             raise HttpError(409, f"session {name!r} already exists")
 
-        if isinstance(routes_text, str):
+        if routes_text is not None:
             # Adoption: the routed state ships with the request; no
             # routing happens, so no admission slot is needed.
             def adopt() -> Dict:
-                from repro.api import request_from_text
-                from repro.channels.workspace import RoutingWorkspace
                 from repro.core.result import Strategy
                 from repro.eco import EcoSession
-                from repro.io import load_routes
+                from repro.io import load_board_text
 
-                req = request_from_text(
-                    board_text, connections_text, format=board_format
+                loaded = load_board_text(
+                    board_text,
+                    connections_text,
+                    routes_text,
+                    format=board_format,
                 )
-                workspace = RoutingWorkspace(req.board)
-                restored = load_routes(workspace, io.StringIO(routes_text))
                 session = EcoSession(
-                    req.board,
-                    list(req.connections),
-                    config=req.resolved_config,
-                    workspace=workspace,
+                    loaded.board,
+                    loaded.connections,
+                    workspace=loaded.workspace,
                     routed_by={
-                        conn_id: Strategy.PUTBACK for conn_id in restored
+                        conn_id: Strategy.PUTBACK
+                        for conn_id in loaded.restored
                     },
                 )
                 self.sessions.fulfill(managed, session)
                 return {
                     "session": name,
-                    "adopted": len(restored),
-                    "total": len(req.connections),
+                    "adopted": len(loaded.restored),
+                    "total": len(loaded.connections),
                 }
 
             try:
@@ -630,8 +641,8 @@ class RoutingServer:
     async def _handle_eco_reroute(self, request: Request, writer) -> None:
         body = request.json()
         name = _require_str(body, "session")
-        include_routes = bool(body.get("include_routes", False))
-        wait = bool(body.get("wait", True))
+        include_routes = _flag(body, "include_routes", False)
+        wait = _flag(body, "wait", True)
         budget = self.config.budget_for(_optional_timeout(body))
         managed = self._session_or_404(name)
         job, grant = self._accept("/eco/reroute", "eco", session=name)

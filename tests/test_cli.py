@@ -136,6 +136,49 @@ class TestInputErrors:
         assert f"no free terminating resistor for net {net.name}" in err
         assert not os.path.exists(files["conns"])
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["string", "{bad}", "{out}"],
+            ["route", "{bad}", "{conns}", "{out}"],
+            ["route", "{board}", "{bad}", "{out}"],
+            ["route", "{bad}.kicad_pcb"],
+            ["verify", "{bad}", "{conns}", "{routes}"],
+            ["verify", "{board}", "{conns}", "{bad}"],
+            ["render", "{bad}", "{conns}", "{routes}", "--prefix", "{out}"],
+            ["eco", "{bad}", "{conns}", "{routes}", "{out}"],
+            ["eco", "{board}", "{conns}", "{bad}", "{out}"],
+            ["kicad", "inspect", "{bad}"],
+            ["kicad", "import", "{bad}", "{out}", "{out}"],
+            ["kicad", "export", "{bad}", "{routes}", "{out}"],
+            ["kicad", "export", "{board}", "{bad}", "{out}"],
+        ],
+        ids=lambda argv: "-".join(argv[:4]).replace("{", "").replace("}", ""),
+    )
+    def test_unreadable_path_exits_2(self, tmp_path, capsys, argv, kind):
+        """A path that is missing, a directory or not UTF-8 is unusable
+        input: one line naming it, exit 2, never a traceback."""
+        names = {
+            name: str(tmp_path / name)
+            for name in ("board", "conns", "routes", "out")
+        }
+        for name in ("board", "conns", "routes"):
+            with open(names[name], "w", encoding="utf-8") as f:
+                f.write("# read before anything is parsed\n")
+        args = [a.format(bad=tmp_path / "bad", **names) for a in argv]
+        bad = next(a for a in args if a.startswith(str(tmp_path / "bad")))
+        if kind == "directory":
+            os.mkdir(bad)
+        elif kind == "not_utf8":
+            with open(bad, "wb") as f:
+                f.write(b"board \xff\xfe\n")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith(f"grr {argv[0]}: InputError: cannot read {bad}")
+        assert not os.path.exists(names["out"])
+
     @pytest.mark.parametrize("command", ["route", "eco"])
     def test_search_flag_is_gone(self, files, command, capsys):
         args = [command, files["board"], files["conns"], files["routes"]]
@@ -360,5 +403,12 @@ class TestEco:
             [
                 "eco", files["board"], files["conns"], files["routes"],
                 routes2, "--cut-net", "999",
+            ]
+        ) == 2
+        # The session, not the CLI, refuses a net of fewer than two pins.
+        assert main(
+            [
+                "eco", files["board"], files["conns"], files["routes"],
+                routes2, "--add-net", "0",
             ]
         ) == 2

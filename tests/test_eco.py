@@ -283,6 +283,24 @@ class TestAddNets:
                 assert _eco_state(session) == before
 
 
+    def test_group_of_fewer_than_two_pins_rejected(self):
+        """A one-pin net strings no connection but would claim its pin,
+        and an empty one is no net at all: both are refused untouched,
+        and the free pin stays free for a later net."""
+        session, _, _ = _routed_session(seed=1)
+        with session:
+            board = session.board
+            assert board.pins[19].net_id == -1
+            assert board.pins[19].role is PinRole.OUTPUT
+            before = _eco_state(session)
+            for groups in ([[19]], [[]], [[19, 23], []]):
+                with pytest.raises(EcoError, match="at least two pins"):
+                    session.add_nets(groups)
+                assert _eco_state(session) == before
+            stats = session.add_nets([[19, 23]], family=LogicFamily.TTL)
+            assert stats.added
+
+
 class TestMovePart:
     def test_move_invalidates_incident_connections(self):
         sink = RingBufferSink(capacity=4096)

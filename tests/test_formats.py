@@ -5,6 +5,7 @@ chooses a reader by extension, `load_board` returns a `LoadedBoard`
 whatever the source format, and `RouteRequest.from_path` rides on top.
 """
 
+import io
 import os
 
 import pytest
@@ -17,8 +18,11 @@ from repro.io import (
     FormatError,
     detect_format,
     load_board,
+    load_board_text,
     save_board,
     save_connections,
+    save_route_dump,
+    write_board,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -79,6 +83,65 @@ class TestLoadBoard:
         again = load_board(out)
         assert len(again.board.pins) == len(loaded.board.pins)
         assert len(again.board.nets) == len(loaded.board.nets)
+
+
+def _decoded(loaded):
+    """What a load decides: the board as text, the connections, the
+    restored ids and the routed state."""
+    board = io.StringIO()
+    write_board(loaded.board, board)
+    return (
+        board.getvalue(),
+        loaded.connections,
+        loaded.restored,
+        loaded.workspace.state_digest(),
+    )
+
+
+class TestOneDecoder:
+    """`load_board` reads files and hands their texts to
+    `load_board_text`; a route dump lands in the format's own
+    workspace."""
+
+    def test_native_files_decode_as_their_texts(self, tmp_path):
+        paths = [
+            str(tmp_path / name) for name in ("b.board", "b.conns", "b.routes")
+        ]
+        main(["generate", paths[0], "--config", "tna",
+              "--scale", "0.2", "--seed", "3"])
+        main(["string", *paths[:2]])
+        assert main(["route", *paths]) == 0
+        loaded = load_board(
+            paths[0], connections_path=paths[1], routes_path=paths[2]
+        )
+        texts = []
+        for path in paths:
+            with open(path, encoding="utf-8") as stream:
+                texts.append(stream.read())
+        assert loaded.restored and not loaded.pending
+        assert _decoded(loaded) == _decoded(
+            load_board_text(*texts, format="native", path=paths[0])
+        )
+
+    def test_kicad_dump_keeps_the_dispersion_traces(self, tmp_path):
+        response = api.route(api.RouteRequest.from_path(MIXED))
+        cold = response.result.workspace.state_digest()
+        dump_path = str(tmp_path / "mixed.routes")
+        with open(dump_path, "w", encoding="utf-8") as stream:
+            save_route_dump(response.result.workspace, stream)
+        loaded = load_board(MIXED, routes_path=dump_path)
+        assert loaded.workspace.state_digest() == cold
+        assert set(loaded.restored) == set(response.result.routed_by)
+        assert not loaded.pending
+        with open(MIXED, encoding="utf-8") as stream:
+            board_text = stream.read()
+        with open(dump_path, encoding="utf-8") as stream:
+            dump_text = stream.read()
+        assert _decoded(loaded) == _decoded(
+            load_board_text(
+                board_text, None, dump_text, format="kicad", path=MIXED
+            )
+        )
 
 
 class TestApiFromPath:

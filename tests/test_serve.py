@@ -31,12 +31,18 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import request_from_text, route
+from repro.api import RouteRequest, request_from_text, route
 from repro.board.board import Board
 from repro.board.parts import PinRole
 from repro.board.technology import LogicFamily
 from repro.core.budget import RouteBudget
-from repro.io import save_route_dump, write_board, write_connections
+from repro.io import (
+    load_board_text,
+    save_route_dump,
+    write_board,
+    write_connections,
+)
+from repro.io.kicad import export_document
 from repro.obs.events import PassStart
 from repro.obs.sinks import JsonlSink
 from repro.serve import (
@@ -52,6 +58,12 @@ from repro.stringer import Stringer
 from repro.workloads import make_titan_board
 
 from tests.conftest import place_pin, scaled
+
+
+def _fixture_text(name):
+    path = os.path.join(os.path.dirname(__file__), "fixtures", name)
+    with open(path, encoding="utf-8") as stream:
+        return stream.read()
 
 
 def _board_texts(name="tna", scale=0.25, seed=3):
@@ -614,6 +626,120 @@ class TestHttpEndpoints:
 
         self._run(scenario)
 
+    @pytest.mark.parametrize("fixture", ["mixed_smd", "charlie_th"])
+    def test_adopting_a_kicad_dump_keeps_the_cold_route(self, fixture):
+        """The dump is restored into the KiCad import's own workspace, so
+        mixed_smd's dispersion traces stay and the session holds exactly
+        the cold route (charlie_th, with no dispersed pads, is the
+        control)."""
+        text = _fixture_text(f"{fixture}.kicad_pcb")
+        response = route(request_from_text(text, format="kicad"))
+        dump = io.StringIO()
+        save_route_dump(response.result.workspace, dump)
+
+        async def scenario(server, host, port):
+            status, payload = await _call(
+                host, port, "POST", "/eco/begin",
+                {"session": "k", "board": text, "format": "kicad",
+                 "routes": dump.getvalue()},
+            )
+            assert status == 200, payload
+            assert payload["adopted"] == response.result.routed_count
+            workspace = server.sessions.get("k").session.workspace
+            assert (
+                workspace.state_digest()
+                == response.result.workspace.state_digest()
+            )
+
+        self._run(scenario)
+
+    def test_adopting_an_export_counts_its_embedded_routes(self):
+        loaded = load_board_text(
+            _fixture_text("mixed_smd.kicad_pcb"), format="kicad"
+        )
+        response = route(
+            RouteRequest(
+                board=loaded.board,
+                connections=loaded.pending,
+                workspace=loaded.workspace,
+            )
+        )
+        exported = export_document(loaded.source, response.result.workspace)
+        dump = io.StringIO()
+        save_route_dump(response.result.workspace, dump)
+
+        async def scenario(server, host, port):
+            status, payload = await _call(
+                host, port, "POST", "/eco/begin",
+                {"session": "e", "board": exported, "format": "kicad",
+                 "routes": ""},
+            )
+            assert status == 200, payload
+            assert payload["adopted"] == payload["total"]
+            assert payload["total"] == len(loaded.connections)
+            # A dump repeating the document's routes is refused, as
+            # grr kicad export refuses it.
+            status, payload = await _call(
+                host, port, "POST", "/eco/begin",
+                {"session": "twice", "board": exported, "format": "kicad",
+                 "routes": dump.getvalue()},
+            )
+            assert status == 400, payload
+            assert payload["error"].startswith("RouteDumpError: ")
+            assert "connection routed twice" in payload["error"]
+            status, listing = await _call(host, port, "GET", "/sessions")
+            assert [row["session"] for row in listing["sessions"]] == ["e"]
+
+        self._run(scenario)
+
+    def test_flags_are_json_booleans(self):
+        """``wait`` and ``include_routes`` take true, false or null (the
+        default); anything else, or a ``routes`` that is not text, answers
+        400 before a job or a session exists."""
+        board_text, conn_text, _, _ = _board_texts()
+        body = {"board": board_text, "connections": conn_text}
+
+        async def scenario(server, host, port):
+            for path, extra in (
+                ("/route", {"wait": "false"}),
+                ("/route", {"include_routes": "no"}),
+                ("/route", {"wait": 0}),
+                ("/eco/begin", {"session": "s", "include_routes": "no"}),
+                ("/eco/begin", {"session": "s", "routes": 5}),
+                ("/eco/begin", {"session": "s", "routes": ["route 0"]}),
+            ):
+                status, payload = await _call(
+                    host, port, "POST", path, {**body, **extra}
+                )
+                assert status == 400, (path, extra, payload)
+            assert server.jobs.created == 0
+            status, listing = await _call(host, port, "GET", "/sessions")
+            assert listing["sessions"] == []
+            status, payload = await _call(
+                host, port, "POST", "/route",
+                {**body, "wait": None, "include_routes": None},
+            )
+            assert status == 200 and "routes" not in payload["result"]
+            status, payload = await _call(
+                host, port, "POST", "/eco/begin",
+                {**body, "session": "s", "routes": None,
+                 "include_routes": True},
+            )
+            assert status == 200 and "routes" in payload["result"]
+            for extra in ({"wait": "false"}, {"include_routes": 1}):
+                status, payload = await _call(
+                    host, port, "POST", "/eco/reroute",
+                    {"session": "s", **extra},
+                )
+                assert status == 400, (extra, payload)
+            status, payload = await _call(
+                host, port, "POST", "/eco/reroute",
+                {"session": "s", "wait": False},
+            )
+            assert status == 202
+
+        self._run(scenario)
+
     def test_mutate_validation_and_unknown_paths(self):
         async def scenario(server, host, port):
             status, _ = await _call(
@@ -672,8 +798,9 @@ class TestHttpEndpoints:
         self._run(scenario)
 
     def test_rejected_add_nets_answers_422_and_changes_nothing(self):
-        """An ECL group with no free terminating resistor is a rejected
-        edit, not a server error, and leaves no half-made net behind."""
+        """An ECL group with no free terminating resistor, or a group of
+        fewer than two pins, is a rejected edit, not a server error, and
+        leaves no half-made net behind."""
         board = Board.create(via_nx=12, via_ny=12, n_signal_layers=2)
         pins = [
             place_pin(board, ViaPoint(x, y), role).pin_id
@@ -701,6 +828,14 @@ class TestHttpEndpoints:
             )
             assert status == 422, payload
             assert "no free terminating resistor" in payload["error"]
+            for groups in ([pins[2:3]], [[]]):
+                status, payload = await _call(
+                    host, port, "POST", "/eco/mutate",
+                    {"session": "s",
+                     "ops": [{"op": "add_nets", "pin_groups": groups}]},
+                )
+                assert status == 422, payload
+                assert "at least two pins" in payload["error"]
             # The pins are still free: a TTL net over them goes in.
             status, payload = await _call(
                 host, port, "POST", "/eco/mutate",

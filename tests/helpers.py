@@ -7,12 +7,40 @@ channels/via map must stay mutually consistent.
 
 from __future__ import annotations
 
-from typing import Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.board.board import Board
 from repro.board.nets import Connection
 from repro.channels.workspace import RouteRecord, RoutingWorkspace
+from repro.core.single_layer import DEFAULT_MAX_GAPS, reachable_vias
+from repro.grid.coords import ViaPoint
 from repro.grid.geometry import Orientation
+
+
+def vias_in_box(
+    layer,
+    a,
+    box,
+    passable,
+    via_map,
+    max_gaps: int = DEFAULT_MAX_GAPS,
+    stats=None,
+    budget=None,
+    views=None,
+) -> List[ViaPoint]:
+    """``reachable_vias`` called as the box-clipped reference is: from a
+    grid point within a grid box, returning ``ViaPoint``s.  ``views`` is
+    a search's list for the layer, or None."""
+    ca, xa = layer.point_cc(a)
+    c_lo, c_hi, lo, hi = layer.box_cc(box)
+    ny = via_map.via_ny
+    return [
+        ViaPoint(*divmod(site, ny))
+        for site in reachable_vias(
+            layer, ca, xa, c_lo, c_hi, lo, hi, passable, via_map,
+            max_gaps, stats, budget, views,
+        )
+    ]
 
 
 def link_cells(orientation: Orientation, pieces) -> Set[Tuple[int, int]]:

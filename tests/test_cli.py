@@ -288,6 +288,50 @@ class TestFailurePath:
         assert code == 1
 
 
+class TestUsageErrors:
+    """A command line the parser took but its command cannot use exits
+    2 with one stderr line, as argparse's own usage errors do; exit 1
+    stays the routing-failure code."""
+
+    MIXED = os.path.join(
+        os.path.dirname(__file__), "fixtures", "mixed_smd.kicad_pcb"
+    )
+
+    @pytest.mark.parametrize(
+        "case,expected",
+        [
+            ("verify-without-files", "native boards need explicit files"),
+            ("kicad-extra-positionals", "kicad boards embed"),
+            ("bad-move-part", "bad --move-part spec 'junk'"),
+            ("bad-add-net", "bad --add-net spec '1,x'"),
+        ],
+    )
+    def test_exits_2_with_one_line(self, files, case, expected, capsys):
+        main(["generate", files["board"], "--config", "tna",
+              "--scale", "0.25", "--seed", "3"])
+        native = [files["board"], files["conns"], files["routes"]]
+        argv = {
+            "verify-without-files": ["verify", files["board"]],
+            "kicad-extra-positionals": [
+                "route", self.MIXED, "out.kicad_pcb", "x.routes"
+            ],
+            "bad-move-part": ["eco", *native, "o.routes",
+                              "--move-part", "junk"],
+            "bad-add-net": ["eco", *native, "o.routes",
+                            "--add-net", "1,x"],
+        }[case]
+        if case.startswith("bad-"):
+            main(["string", files["board"], files["conns"]])
+            main(["route", *native])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"grr {argv[0]}: ") and expected in err
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -8,8 +8,8 @@ same sites in the same order, same :class:`SearchStats`, same truncation
 points at the ``max_gaps`` cap and at budget checkpoints, same via-map
 probe accounting, and so the same routes.  These tests drive both over
 hypothesis-generated channel states and full-board routes and assert
-exact equality — no tolerances anywhere.  ``trace``, which still walks
-box-clipped lists, must agree with it on which via sites are reachable.
+exact equality — no tolerances anywhere.  ``trace``, which walks the
+same views, must agree with it on which via sites are reachable.
 """
 
 from __future__ import annotations
@@ -30,14 +30,15 @@ from repro.channels.workspace import RoutingWorkspace
 from repro.core import lee
 from repro.core.budget import BudgetTracker, RouteBudget
 from repro.core.router import GreedyRouter, RouterConfig
-from repro.core.single_layer import SearchStats, reachable_vias, trace
+from repro.core.single_layer import SearchStats, trace
 from repro.grid.coords import GridPoint, ViaPoint
 from repro.grid.geometry import Box
 from repro.stringer import Stringer
 from repro.workloads import make_titan_board
 
 from tests.conftest import scaled
-from tests.vias_reference import reference_reachable_vias
+from tests.helpers import vias_in_box
+from tests.vias_reference import reference_reachable_vias, reference_vias_flat
 
 
 class TestLazyNumpy:
@@ -179,7 +180,7 @@ def trace_problem(draw):
 def _run_group(ws, problem, search):
     """Run one group of calls; per call (sites, stats, probe delta)."""
     layer = ws.layers[problem["layer_index"]]
-    views = {}
+    views = [None] * layer.n_channels
     checks = problem["budget_checks"]
     budget = None if checks is None else _tripping_budget(checks)
     out = []
@@ -207,7 +208,7 @@ class TestSearchParity:
         ws = _populated_workspace(problem["segments"])
         # Emission order is part of the contract (Lee heap tiebreaks on
         # insertion order), so compare lists, not sets.
-        assert _run_group(ws, problem, reachable_vias) == _run_group(
+        assert _run_group(ws, problem, vias_in_box) == _run_group(
             ws, problem, reference_reachable_vias
         )
 
@@ -222,8 +223,9 @@ class TestSearchParity:
         layer = ws.layers[problem["layer_index"]]
         a, box, passable = problem["a"], problem["box"], problem["passable"]
         stats = SearchStats()
-        found = reachable_vias(
-            layer, a, box, passable, ws.via_map, stats=stats, views={}
+        found = vias_in_box(
+            layer, a, box, passable, ws.via_map, stats=stats,
+            views=[None] * layer.n_channels,
         )
         assert stats.cap_hits == 0
         for site in found:
@@ -255,7 +257,7 @@ class TestSearchParity:
             return tracker.hot()
 
         results = []
-        for search in (reachable_vias, reference_reachable_vias):
+        for search in (vias_in_box, reference_reachable_vias):
             stats = SearchStats()
             probes = ws.via_map.probe_count
             found = search(
@@ -282,7 +284,7 @@ class TestSearchParity:
         ws = RoutingWorkspace(board)
         box = Box(0, 0, board.grid.nx - 1, board.grid.ny - 1)
         results = []
-        for search in (reachable_vias, reference_reachable_vias):
+        for search in (vias_in_box, reference_reachable_vias):
             stats = SearchStats()
             probes = ws.via_map.probe_count
             found = search(
@@ -315,7 +317,7 @@ class TestFullBoardParity:
         # audit=True re-verifies workspace invariants after every pass
         # (the GRR_AUDIT=1 tier), so parity here covers the audit too.
         router = GreedyRouter(board, RouterConfig(audit=True), ws)
-        vias = reference_reachable_vias if reference else lee.reachable_vias
+        vias = reference_vias_flat if reference else lee.reachable_vias
         with mock.patch.object(lee, "reachable_vias", vias):
             result = router.route(conns)
         # Gap-list reuse is the one thing the reference does differently.

@@ -37,7 +37,7 @@ from repro.workloads import make_titan_board
 
 from tests.conftest import make_connection
 from tests.helpers import assert_route_connected, assert_workspace_consistent
-from tests.vias_reference import reference_reachable_vias
+from tests.vias_reference import reference_vias_flat
 
 
 def _passable_for(conn):
@@ -227,7 +227,7 @@ class TestGoalParity:
         """Routes are the same with the box-clipped reference *Vias*
         search (``tests/vias_reference.py``) patched into the Lee search."""
         digests = {}
-        for vias in (lee.reachable_vias, reference_reachable_vias):
+        for vias in (lee.reachable_vias, reference_vias_flat):
             with mock.patch.object(lee, "reachable_vias", vias):
                 _, result = _tna_route()
             digests[vias] = (
@@ -236,7 +236,7 @@ class TestGoalParity:
                 result.lee_expansions,
                 result.workspace.via_map.probe_count,
             )
-        assert digests[lee.reachable_vias] == digests[reference_reachable_vias]
+        assert digests[lee.reachable_vias] == digests[reference_vias_flat]
 
     @pytest.mark.slow
     def test_worker_parity(self):

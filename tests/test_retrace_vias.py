@@ -31,6 +31,11 @@ class TestRetraceUnit:
         )
         return board, RoutingWorkspace(board)
 
+    @staticmethod
+    def _sites(ws, *vias):
+        """Flat via indices, as the search keys its marks."""
+        return [via.vx * ws.grid.via_ny + via.vy for via in vias]
+
     def test_same_layer_chain_drills_nothing(self):
         """Three collinear hops on one layer: zero holes."""
         board, ws = self._workspace()
@@ -40,11 +45,12 @@ class TestRetraceUnit:
         conn = Connection(
             conn_id=7, net_id=0, pin_a=0, pin_b=1, a=a, b=b
         )
+        sa, s1, s2, sb = self._sites(ws, a, m1, m2, b)
         marks = (
-            {a: (0, None, None), m1: (1, a, 0), m2: (2, m1, 0)},
-            {b: (0, None, None)},
+            {sa: (0, None, None), s1: (1, sa, 0), s2: (2, s1, 0)},
+            {sb: (0, None, None)},
         )
-        meet = (0, m2, b, 0)  # m2 (side 0) met b (side 1) on layer 0
+        meet = (0, s2, sb, 0)  # m2 (side 0) met b (side 1) on layer 0
         record = _retrace(
             ws, conn, meet, marks, radius=1,
             passable=frozenset((7,)), max_gaps=20000,
@@ -64,11 +70,12 @@ class TestRetraceUnit:
         conn = Connection(
             conn_id=7, net_id=0, pin_a=0, pin_b=1, a=a, b=b
         )
+        sa, sm, sb = self._sites(ws, a, m, b)
         marks = (
-            {a: (0, None, None), m: (1, a, 0)},
-            {b: (0, None, None)},
+            {sa: (0, None, None), sm: (1, sa, 0)},
+            {sb: (0, None, None)},
         )
-        meet = (0, m, b, 1)  # the meeting hop runs on layer 1
+        meet = (0, sm, sb, 1)  # the meeting hop runs on layer 1
         record = _retrace(
             ws, conn, meet, marks, radius=1,
             passable=frozenset((7,)), max_gaps=20000,

@@ -4,11 +4,11 @@ import pytest
 
 from repro.board.board import Board
 from repro.channels.workspace import RoutingWorkspace
-from repro.core.single_layer import obstructions, reachable_vias, trace
+from repro.core.single_layer import obstructions, trace
 from repro.grid.coords import GridPoint, ViaPoint
 from repro.grid.geometry import Box
 
-from tests.helpers import assert_link_connected, link_cells
+from tests.helpers import assert_link_connected, link_cells, vias_in_box
 
 
 @pytest.fixture
@@ -126,7 +126,7 @@ class TestReachableVias:
         a = ViaPoint(4, 4)
         point = ws.grid.via_to_grid(a)
         box = ws.grid.via_strip(a, radius=1, axis="x")
-        found = reachable_vias(
+        found = vias_in_box(
             ws.layers[0], point, box, frozenset(), ws.via_map
         )
         expected = {
@@ -140,7 +140,7 @@ class TestReachableVias:
         a = ViaPoint(4, 4)
         point = ws.grid.via_to_grid(a)
         box = ws.grid.via_strip(a, radius=0, axis="x")
-        found = reachable_vias(
+        found = vias_in_box(
             ws.layers[0], point, box, frozenset(), ws.via_map
         )
         assert {v.vy for v in found} == {4}
@@ -150,12 +150,12 @@ class TestReachableVias:
         a = ViaPoint(4, 4)
         point = ws.grid.via_to_grid(a)
         box = ws.grid.via_strip(a, radius=0, axis="x")
-        found = reachable_vias(
+        found = vias_in_box(
             ws.layers[0], point, box, frozenset(), ws.via_map
         )
         assert ViaPoint(6, 4) not in found
         # ... but still reachable for its own owner.
-        found_own = reachable_vias(
+        found_own = vias_in_box(
             ws.layers[0], point, box, frozenset((3,)), ws.via_map
         )
         assert ViaPoint(6, 4) in found_own
@@ -166,7 +166,7 @@ class TestReachableVias:
         a = ViaPoint(1, 4)
         point = ws.grid.via_to_grid(a)
         box = ws.grid.via_strip(a, radius=1, axis="x")
-        found = reachable_vias(
+        found = vias_in_box(
             ws.layers[0], point, box, frozenset(), ws.via_map
         )
         assert all(ws.grid.via_to_grid(v).gx < 12 for v in found)
@@ -176,7 +176,7 @@ class TestReachableVias:
         point = GridPoint(12, 12)
         box = ws.grid.via_strip(ViaPoint(4, 4), radius=1, axis="x")
         assert (
-            reachable_vias(ws.layers[0], point, box, frozenset(), ws.via_map)
+            vias_in_box(ws.layers[0], point, box, frozenset(), ws.via_map)
             == []
         )
 

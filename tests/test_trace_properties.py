@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 from repro.board.board import Board
 from repro.channels.channel import ChannelConflictError
 from repro.channels.workspace import RoutingWorkspace
-from repro.core.single_layer import reachable_vias, trace
+from repro.core.single_layer import trace
 from repro.grid.coords import GridPoint
 
 from tests.conftest import scaled
+from tests.helpers import vias_in_box
 
 VIA_N = 6  # 16x16 routing grid
 
@@ -126,7 +127,7 @@ def test_vias_agree_with_cell_bfs(segments, avx, avy, radius):
     if not layer.is_point_free(a):
         return  # start buried; covered by other tests
     box = ws.grid.via_strip(via, radius, "x")
-    found = set(reachable_vias(layer, a, box, frozenset(), ws.via_map))
+    found = set(vias_in_box(layer, a, box, frozenset(), ws.via_map))
     cells = _free_cells(ws, 0)
     strip_cells = {
         (x, y)

@@ -7,7 +7,8 @@ box, with every candidate site probed through ``ViaMap.is_available``.
 It shares no code with the production search beyond the channel and via
 map primitives, so the production search must match it exactly: the same
 sites in the same order, the same :class:`SearchStats`, and the same
-``ViaMap.probe_count`` delta.
+``ViaMap.probe_count`` delta.  :func:`reference_vias_flat` puts it behind
+the production signature, to be patched over ``repro.core.lee.reachable_vias``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.channels.via_map import ViaMap
 from repro.core.budget import SEARCH_CHECK_MASK, BudgetTracker
 from repro.core.single_layer import DEFAULT_MAX_GAPS, SearchStats
 from repro.grid.coords import GridPoint, ViaPoint
-from repro.grid.geometry import Box
+from repro.grid.geometry import Box, Orientation
 
 GapKey = Tuple[int, int]
 
@@ -143,3 +144,34 @@ def reference_reachable_vias(
             if via != a_via and via_map.is_available(via, passable):
                 found.append(via)
     return found
+
+
+def reference_vias_flat(
+    layer: LayerData,
+    ca: int,
+    xa: int,
+    c_lo: int,
+    c_hi: int,
+    lo: int,
+    hi: int,
+    passable: FrozenSet[int],
+    via_map: ViaMap,
+    max_gaps: int = DEFAULT_MAX_GAPS,
+    stats: Optional[SearchStats] = None,
+    budget: Optional[BudgetTracker] = None,
+    views=None,
+) -> List[int]:
+    """:func:`reference_reachable_vias` with ``reachable_vias``'s
+    channel-coordinate arguments and flat site indices."""
+    if layer.orientation is Orientation.HORIZONTAL:
+        box = Box(lo, c_lo, hi, c_hi)
+    else:
+        box = Box(c_lo, lo, c_hi, hi)
+    ny = via_map.via_ny
+    return [
+        via.vx * ny + via.vy
+        for via in reference_reachable_vias(
+            layer, layer.cc_point(ca, xa), box, passable, via_map,
+            max_gaps, stats, budget,
+        )
+    ]

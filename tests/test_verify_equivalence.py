@@ -132,12 +132,15 @@ def _corrupt(data, workspace, kind):
             _raw_insert(channel, hi + 1, lo, owner)
         elif kind == "off_board_segment":
             # Sticks out past either end, possibly with whole via steps.
+            # The popped segment may be one an earlier corruption
+            # inverted, so its span is |hi - lo|.
             g = workspace.grid.grid_per_via
+            span = abs(hi - lo)
             start = data.draw(
                 st.one_of(
-                    st.integers(-2 * g - (hi - lo), -1),
+                    st.integers(-2 * g - span, -1),
                     st.integers(
-                        layer.channel_length - (hi - lo),
+                        layer.channel_length - span,
                         layer.channel_length + 2 * g,
                     ),
                 )

@@ -142,11 +142,19 @@ class EcoSession:
                     board.nets[conn.net_id].pin_ids.append(pin_id)
         #: Strategy attribution for currently installed routes, carried
         #: across reroutes (the router only reports what *it* routed).
+        #: A connection the workspace arrived with routed and that
+        #: ``routed_by`` does not name was kept as previously routed:
+        #: ``Strategy.PUTBACK``, the honest label for a restored route.
         self._routed_by: Dict[int, Strategy] = {
             conn_id: strategy
             for conn_id, strategy in (routed_by or {}).items()
             if self.workspace.is_routed(conn_id)
         }
+        for conn in self.connections:
+            if conn.conn_id not in self._routed_by and (
+                self.workspace.is_routed(conn.conn_id)
+            ):
+                self._routed_by[conn.conn_id] = Strategy.PUTBACK
         #: Connections dirtied by mutations since the last reroute.
         self._invalidated: Set[int] = set()
         self._next_conn_id = (

@@ -502,7 +502,6 @@ class RoutingServer:
             # Adoption: the routed state ships with the request; no
             # routing happens, so no admission slot is needed.
             def adopt() -> Dict:
-                from repro.core.result import Strategy
                 from repro.eco import EcoSession
                 from repro.io import load_board_text
 
@@ -516,10 +515,6 @@ class RoutingServer:
                     loaded.board,
                     loaded.connections,
                     workspace=loaded.workspace,
-                    routed_by={
-                        conn_id: Strategy.PUTBACK
-                        for conn_id in loaded.restored
-                    },
                 )
                 self.sessions.fulfill(managed, session)
                 return {
